@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import csv
+import functools
 import hashlib
 import io
 import itertools
@@ -18,7 +19,7 @@ import os
 import platform
 import subprocess
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,6 +37,7 @@ from .optim import (
     ADAGRAM_KINDS,
     NonFiniteGradientError,
     OptimizerConfig,
+    OptimizerKind,
     ParamState,
     make_optimizer,
 )
@@ -84,31 +86,96 @@ class ExperimentConfig:
             raise ConfigError(f"unknown weight_init {self.weight_init!r}")
 
 
+@dataclass(frozen=True)
+class Field:
+    """One experiment setting.
+
+    ``key`` names it in config and grid files, the config hash, trace
+    metadata and the summary TSV.  ``attr`` (default: the key) is its
+    attribute on OptimizerConfig if ``optimizer`` is set, else on
+    ExperimentConfig; those dataclasses alone hold the defaults.  ``axis``
+    marks a grid axis: "all" for every kind, "adagram" for AdaGram only.
+    """
+
+    key: str
+    type: type
+    help: str
+    attr: str = ""
+    optimizer: bool = False
+    axis: str = ""
+    optional: bool = False  # None is a value, written "none"
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "attr", self.attr or self.key)
+
+    def get(self, cfg: ExperimentConfig):
+        return getattr(cfg.optimizer if self.optimizer else cfg, self.attr)
+
+    def text(self, value) -> str:
+        if self.type is OptimizerKind:
+            return value.value
+        return repr(value) if self.type is float else str(value)
+
+    def parse(self, text):
+        """The value a flag or a config-file entry gives, as this type."""
+        if self.optional and str(text).lower() in ("none", ""):
+            return None
+        try:
+            if self.type is bool:
+                if text not in ("true", "false"):
+                    raise ValueError(f"expected true or false, got {text!r}")
+                return text == "true"
+            return self.type(text)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{self.key}: {exc}") from None
+
+    def applies_to(self, kind: OptimizerKind) -> bool:
+        return self.axis != "adagram" or kind in ADAGRAM_KINDS
+
+
+# The experiment settings, in config-hash order.
+FIELDS = (
+    Field("dataset", str, "file path or synthetic:{isotropic,tridiagonal,dense}"),
+    Field("kind", OptimizerKind, "one of: " + ", ".join(k.value for k in OptimizerKind),
+          optimizer=True),
+    Field("lr", float, "learning rate", "learning_rate", optimizer=True, axis="all"),
+    Field("eps", float, "initial diagonal of the accumulator", optimizer=True, axis="all"),
+    Field("rank", int, "rank budget for AdaGram variants", optimizer=True, axis="adagram"),
+    Field("mu", float, "memory weight in [0,1], or 'none'", optimizer=True,
+          axis="adagram", optional=True),
+    Field("opt_seed", int, "seed of the weight init", "seed", optimizer=True),
+    Field("batch_size", int, "minibatch size", axis="all"),
+    Field("epochs", int, "passes over the training split"),
+    Field("seed", int, "seed of the data, split, shuffle and weight init"),
+    Field("test_fraction", float, "share of samples held out for testing"),
+    Field("add_bias", bool, "append a constant feature column"),
+    Field("weight_init", str, "zeros or gaussian"),
+    Field("n_samples", int, "synthetic sample count"),
+    Field("n_features", int, "synthetic feature count"),
+    Field("rho", float, "synthetic correlation strength", optional=True),
+)
+FIELD = {f.key: f for f in FIELDS}
+# Settings that change the minibatch stream vary slowest, so the cells
+# that share one stream are adjacent.
+GRID_AXES = sorted((f for f in FIELDS if f.axis), key=lambda f: f.optimizer)
+
+
+def config_fields(cfg: ExperimentConfig) -> dict[str, str]:
+    """Every setting of ``cfg`` as text, in table order."""
+    return {f.key: f.text(f.get(cfg)) for f in FIELDS}
+
+
 def config_hash(cfg: ExperimentConfig) -> str:
     """Stable 12-hex digest of everything that affects the metrics."""
-    opt = cfg.optimizer
-    key = ";".join(
-        f"{k}={v}"
-        for k, v in [
-            ("dataset", cfg.dataset),
-            ("kind", opt.kind.value),
-            ("lr", repr(opt.learning_rate)),
-            ("eps", repr(opt.eps)),
-            ("rank", opt.rank),
-            ("mu", repr(opt.mu)),
-            ("opt_seed", opt.seed),
-            ("batch_size", cfg.batch_size),
-            ("epochs", cfg.epochs),
-            ("seed", cfg.seed),
-            ("test_fraction", repr(cfg.test_fraction)),
-            ("add_bias", cfg.add_bias),
-            ("weight_init", cfg.weight_init),
-            ("n_samples", cfg.n_samples),
-            ("n_features", cfg.n_features),
-            ("rho", repr(cfg.rho)),
-        ]
-    )
+    key = ";".join(f"{k}={v}" for k, v in config_fields(cfg).items())
     return hashlib.sha256(key.encode()).hexdigest()[:12]
+
+
+def make_config(values: dict, **extra) -> ExperimentConfig:
+    """Config from {field key: value}; unset fields keep their defaults."""
+    opt = {f.attr: values[f.key] for f in FIELDS if f.optimizer and f.key in values}
+    exp = {f.attr: values[f.key] for f in FIELDS if not f.optimizer and f.key in values}
+    return ExperimentConfig(optimizer=OptimizerConfig(**opt), **exp, **extra)
 
 
 @dataclass
@@ -190,15 +257,18 @@ class RunRecord:
             return cls.from_csv(fh.read())
 
 
+@functools.cache
 def _git_describe() -> str:
+    """The commit of the package's own checkout, looked up once per process."""
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
             capture_output=True, text=True, timeout=5,
+            cwd=os.path.dirname(os.path.abspath(__file__)),
         )
         if out.returncode == 0:
             return out.stdout.strip()
-    except OSError:
+    except (OSError, subprocess.SubprocessError):
         pass
     return "unknown"
 
@@ -257,15 +327,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunRecord:
         "config_hash": config_hash(cfg),
         "git": _git_describe(),
         "platform": platform.platform(),
-        "dataset": cfg.dataset,
-        "kind": cfg.optimizer.kind.value,
-        "lr": repr(cfg.optimizer.learning_rate),
-        "eps": repr(cfg.optimizer.eps),
-        "rank": str(cfg.optimizer.rank),
-        "mu": repr(cfg.optimizer.mu),
-        "batch_size": str(cfg.batch_size),
-        "epochs": str(cfg.epochs),
-        "seed": str(cfg.seed),
+        **config_fields(cfg),
     }
 
     rows: list[EpochRow] = []
@@ -317,23 +379,19 @@ class GridResult:
 
 
 def expand_grid(space: dict, base: ExperimentConfig) -> list[ExperimentConfig]:
-    """Cartesian product over batch size, learning rate, and eps, plus rank
-    and mu for AdaGram kinds."""
+    """Cartesian product over the grid axes that apply to the base kind.
+
+    ``space`` maps an axis's attribute name to its values; a missing axis
+    keeps the base value.
+    """
     if not space:
         raise ConfigError("empty grid")
-    batch_sizes = space.get("batch_size", [base.batch_size])
-    lrs = space.get("learning_rate", [base.optimizer.learning_rate])
-    epss = space.get("eps", [base.optimizer.eps])
-    if base.optimizer.kind in ADAGRAM_KINDS:
-        ranks = space.get("rank", [base.optimizer.rank])
-        mus = space.get("mu", [base.optimizer.mu])
-    else:
-        ranks = [base.optimizer.rank]
-        mus = [base.optimizer.mu]
-    configs = []
-    for bs, lr, eps, rank, mu in itertools.product(batch_sizes, lrs, epss, ranks, mus):
-        opt = replace(base.optimizer, learning_rate=lr, eps=eps, rank=rank, mu=mu)
-        configs.append(replace(base, optimizer=opt, batch_size=bs, output_path=None))
+    axes = [f for f in GRID_AXES if f.applies_to(base.optimizer.kind)]
+    values = {f.key: f.get(base) for f in FIELDS}
+    configs = [
+        make_config({**values, **{f.key: v for f, v in zip(axes, combo)}})
+        for combo in itertools.product(*(space.get(f.attr, [f.get(base)]) for f in axes))
+    ]
     if not configs:
         raise ConfigError("empty grid")
     return configs
@@ -341,8 +399,9 @@ def expand_grid(space: dict, base: ExperimentConfig) -> list[ExperimentConfig]:
 
 def _selection_key(cfg: ExperimentConfig, record: RunRecord):
     loss_val = math.inf if record.diverged else record.final_train_loss
-    rank = cfg.optimizer.rank if cfg.optimizer.kind in ADAGRAM_KINDS else 0
-    return (loss_val, rank, cfg.optimizer.learning_rate, config_hash(cfg))
+    rank = FIELD["rank"]
+    rank_val = rank.get(cfg) if rank.applies_to(cfg.optimizer.kind) else 0
+    return (loss_val, rank_val, FIELD["lr"].get(cfg), config_hash(cfg))
 
 
 def select_best(entries) -> int:
@@ -367,8 +426,9 @@ def grid_search(space: dict, base: ExperimentConfig,
     return GridResult(entries[best][0], entries[best][1], entries)
 
 
+_SUMMARY_FIELDS = tuple(f for f in FIELDS if f.axis or f.key == "kind")
 SUMMARY_COLUMNS = (
-    "config_hash", "kind", "lr", "eps", "rank", "mu", "batch_size",
+    "config_hash", *(f.key for f in _SUMMARY_FIELDS),
     "final_train_loss", "final_test_loss", "final_test_acc",
     "time_to_best_s", "diverged", "selected",
 )
@@ -379,17 +439,11 @@ def write_summary_tsv(result: GridResult, path: str) -> None:
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\t".join(SUMMARY_COLUMNS) + "\n")
         for cfg, rec in result.entries:
-            opt = cfg.optimizer
-            is_adagram = opt.kind in ADAGRAM_KINDS
+            kind = cfg.optimizer.kind
             ttb = rec.time_to_best_s()
             row = [
                 config_hash(cfg),
-                opt.kind.value,
-                repr(opt.learning_rate),
-                repr(opt.eps),
-                str(opt.rank) if is_adagram else "",
-                repr(opt.mu) if is_adagram else "",
-                str(cfg.batch_size),
+                *(f.text(f.get(cfg)) if f.applies_to(kind) else "" for f in _SUMMARY_FIELDS),
                 repr(rec.final_train_loss),
                 repr(rec.final_test_loss),
                 repr(rec.final_test_acc),

@@ -10,21 +10,21 @@ Exit codes: 0 success, 2 configuration error, 3 divergence, 4 invariant failure.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
 from .bench import (
+    FIELDS,
     ConfigError,
     ExperimentConfig,
     config_hash,
     grid_search,
+    make_config,
     run_experiment,
     run_invariant_suite,
     write_summary_tsv,
 )
 from .data import DataError
-from .optim import OptimizerConfig, OptimizerKind
 from .precond import PreconditionerBudgetError
 
 EXIT_OK = 0
@@ -32,19 +32,19 @@ EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 EXIT_INVARIANT = 4
 
-
-def _parse_value(text: str):
-    text = text.strip()
-    if text.lower() in ("none", ""):
-        return None
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError:
-        return text
+# Config-file and flag names of the settings: `optimizer` names `kind`,
+# and `opt_seed` has no name, as it follows `seed`.
+_CONFIG_FIELDS = {"optimizer" if f.key == "kind" else f.key: f
+                  for f in FIELDS if f.key != "opt_seed"}
+_CONFIG_KEYS = (*_CONFIG_FIELDS, "out")
+_GRID_FIELDS = {f.key: f for f in FIELDS if f.axis}
 
 
 def parse_keyvalue_file(path: str) -> dict:
-    """Read 'key = value' lines; '#' starts a comment; commas make lists."""
+    """Read 'key = value' lines; '#' starts a comment; commas make lists.
+
+    Values stay text; each setting's field parses its own.
+    """
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     out: dict = {}
@@ -56,7 +56,7 @@ def parse_keyvalue_file(path: str) -> dict:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
             key, _, val = line.partition("=")
-            values = [_parse_value(v) for v in val.split(",")]
+            values = [v.strip() for v in val.split(",")]
             out[key.strip()] = values if len(values) > 1 else values[0]
     return out
 
@@ -66,108 +66,48 @@ def build_parser() -> argparse.ArgumentParser:
         prog="adagram",
         description="Train GLMs with AdaGram and baseline optimizers.",
     )
-    p.add_argument("--dataset", help="file path or synthetic:{isotropic,tridiagonal,dense}")
-    p.add_argument("--optimizer", help="one of: " + ", ".join(k.value for k in OptimizerKind))
-    p.add_argument("--lr", type=float, help="learning rate")
-    p.add_argument("--eps", type=float, help="initial diagonal of the accumulator")
-    p.add_argument("--rank", type=int, help="rank budget for AdaGram variants")
-    p.add_argument("--mu", type=str, help="memory weight in [0,1], or 'none'")
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--seed", type=int)
+    for name, f in _CONFIG_FIELDS.items():
+        if f.type is not bool:  # add_bias is switched off by --no-bias
+            p.add_argument("--" + name.replace("_", "-"), help=f.help)
     p.add_argument("--out", help="CSV path (run) or output directory (grid)")
     p.add_argument("--grid", help="grid file: 'key = v1, v2, ...' per line")
     p.add_argument("--config", help="experiment file with the same keys as the flags")
     p.add_argument("--verify", action="store_true", help="run the invariant suite and exit")
     p.add_argument("--workers", type=int, default=1, help="parallel grid workers")
-    p.add_argument("--test-fraction", type=float, dest="test_fraction")
     p.add_argument("--no-bias", action="store_true", help="skip the constant feature column")
-    p.add_argument("--weight-init", choices=["zeros", "gaussian"], dest="weight_init")
-    p.add_argument("--n-samples", type=int, dest="n_samples", help="synthetic sample count")
-    p.add_argument("--n-features", type=int, dest="n_features", help="synthetic feature count")
-    p.add_argument("--rho", type=float, help="synthetic correlation strength")
     return p
 
 
-_CONFIG_KEYS = (
-    "dataset", "optimizer", "lr", "eps", "rank", "mu", "batch_size", "epochs",
-    "seed", "out", "test_fraction", "weight_init", "n_samples", "n_features",
-    "rho", "add_bias",
-)
-
-
 def _build_config(args) -> ExperimentConfig:
-    settings: dict = {}
-    if args.config:
-        file_vals = parse_keyvalue_file(args.config)
-        unknown = set(file_vals) - set(_CONFIG_KEYS)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        settings.update(file_vals)
-    for key in _CONFIG_KEYS:
-        val = getattr(args, key, None)
-        if val is not None:
-            settings[key] = val
+    given = parse_keyvalue_file(args.config) if args.config else {}
+    unknown = set(given) - set(_CONFIG_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    given.update((k, getattr(args, k)) for k in _CONFIG_KEYS
+                 if getattr(args, k, None) is not None)
     if args.no_bias:
-        settings["add_bias"] = False
-
-    if "dataset" not in settings:
-        raise ConfigError("--dataset is required")
-    if "optimizer" not in settings:
-        raise ConfigError("--optimizer is required")
-    try:
-        kind = OptimizerKind(settings["optimizer"])
-    except ValueError:
-        raise ConfigError(
-            f"unknown optimizer {settings['optimizer']!r}; expected one of "
-            + ", ".join(k.value for k in OptimizerKind)
-        ) from None
-
-    mu = settings.get("mu")
-    if isinstance(mu, str):
-        mu = _parse_value(mu)
-        if mu is not None:
-            mu = float(mu)
-
-    opt = OptimizerConfig(
-        kind=kind,
-        learning_rate=float(settings.get("lr", 0.1)),
-        eps=float(settings.get("eps", 1e-2)),
-        rank=int(settings.get("rank", 5)),
-        mu=mu,
-        seed=int(settings.get("seed", 0)),
-    )
-    return ExperimentConfig(
-        dataset=str(settings["dataset"]),
-        optimizer=opt,
-        batch_size=int(settings.get("batch_size", 32)),
-        epochs=int(settings.get("epochs", 10)),
-        seed=int(settings.get("seed", 0)),
-        output_path=settings.get("out"),
-        test_fraction=float(settings.get("test_fraction", 0.2)),
-        add_bias=bool(settings.get("add_bias", True)),
-        weight_init=str(settings.get("weight_init", "zeros")),
-        n_samples=int(settings.get("n_samples", 2000)),
-        n_features=int(settings.get("n_features", 20)),
-        rho=settings.get("rho"),
-    )
-
-
-_GRID_KEYS = {"batch_size", "lr", "eps", "rank", "mu"}
+        given["add_bias"] = "false"
+    for name in ("dataset", "optimizer"):
+        if name not in given:
+            raise ConfigError(f"--{name} is required")
+    values = {f.key: f.parse(given[name]) for name, f in _CONFIG_FIELDS.items()
+              if name in given}
+    if "seed" in values:
+        values["opt_seed"] = values["seed"]
+    return make_config(values, output_path=given.get("out"))
 
 
 def _load_grid(path: str) -> dict:
     raw = parse_keyvalue_file(path)
-    unknown = set(raw) - _GRID_KEYS
+    unknown = set(raw) - set(_GRID_FIELDS)
     if unknown:
         raise ConfigError(f"unknown grid keys: {sorted(unknown)}")
+    if not raw:
+        raise ConfigError(f"grid file {path} defines no values")
     space = {}
     for key, vals in raw.items():
-        if not isinstance(vals, list):
-            vals = [vals]
-        space["learning_rate" if key == "lr" else key] = vals
-    if not space or not all(space.values()):
-        raise ConfigError(f"grid file {path} defines no values")
+        f = _GRID_FIELDS[key]
+        space[f.attr] = [f.parse(v) for v in (vals if isinstance(vals, list) else [vals])]
     return space
 
 

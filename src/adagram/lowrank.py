@@ -10,11 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-try:
-    from scipy.linalg.lapack import dtrtri as _dtrtri
-except ImportError:  # pragma: no cover
-    _dtrtri = None
+from scipy.linalg.lapack import dtrtri as _dtrtri
 
 # Dense reconstruction is a test/diagnostic device; keep it impossible at scale.
 MATERIALIZE_CAP = 64
@@ -129,12 +125,10 @@ def orthogonal_factorization(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _inv_lower(low: np.ndarray) -> np.ndarray:
     """Invert a small lower-triangular factor."""
-    if _dtrtri is not None:
-        inv, info = _dtrtri(low, lower=1)
-        if info != 0:
-            raise np.linalg.LinAlgError("singular triangular factor")
-        return inv
-    return np.linalg.inv(low)
+    inv, info = _dtrtri(low, lower=1)
+    if info != 0:
+        raise np.linalg.LinAlgError("singular triangular factor")
+    return inv
 
 
 def _cholesky_qr2(m: np.ndarray):

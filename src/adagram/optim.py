@@ -45,6 +45,11 @@ class OptimizerKind(str, enum.Enum):
     ADAGRAM_PS = "adagram_ps"
     ADAGRAM_FR = "adagram_fr"
 
+    @classmethod
+    def _missing_(cls, value):
+        raise ValueError(f"unknown optimizer {value!r}; expected one of "
+                         + ", ".join(k.value for k in cls))
+
 
 ADAGRAM_KINDS = frozenset(
     {OptimizerKind.ADAGRAM_EXACT, OptimizerKind.ADAGRAM_PS, OptimizerKind.ADAGRAM_FR}
@@ -198,11 +203,16 @@ def adagram_step(params: ParamState, grad: np.ndarray,
     The transformed gradient is computed with the pre-update state, the
     preconditioner absorbs it, and the parameter write uses the rescaled
     direction gbar / sqrt(1 + ||gbar||^2) (equivalent to stepping with the
-    post-update inverse factor).
+    post-update inverse factor).  A transformed gradient whose squared
+    norm overflows raises NonFiniteGradientError before any state update.
     """
     grad = _check_grad(params, grad)
     g = vec(grad)
     gbar = apply_inverse(state, g)
+    if not math.isfinite(float(gbar @ gbar)):
+        raise NonFiniteGradientError(
+            f"non-finite preconditioned gradient at step {params.step + 1}"
+        )
     if isinstance(state, ExactPQState):
         update_exact(state, gbar)
     else:

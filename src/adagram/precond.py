@@ -53,22 +53,6 @@ def beta_of(alpha: float, norm_sq: float) -> float:
     return alpha / (1.0 + alpha * norm_sq)
 
 
-class ScalarCoefficients:
-    """The (alpha, beta) pair for one transformed gradient."""
-
-    __slots__ = ("alpha", "beta", "norm_sq")
-
-    def __init__(self, alpha: float, beta: float, norm_sq: float):
-        self.alpha = alpha
-        self.beta = beta
-        self.norm_sq = norm_sq
-
-    @classmethod
-    def from_norm_sq(cls, norm_sq: float) -> "ScalarCoefficients":
-        alpha = alpha_of(norm_sq)
-        return cls(alpha, beta_of(alpha, norm_sq), float(norm_sq))
-
-
 class IntegratorVariant(enum.Enum):
     PROJECTOR_SPLITTING = "projector_splitting"
     TRUNCATED_SVD = "truncated_svd"

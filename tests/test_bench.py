@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+import adagram.bench as bench_mod
 import adagram.precond as precond_mod
 from adagram.bench import (
     CSV_COLUMNS,
@@ -80,9 +81,24 @@ class TestRunExperiment:
         assert record.diverged
         assert len(record.rows) < 5
 
+    def test_git_describe_runs_once_per_process(self, monkeypatch):
+        calls = []
+        real_run = bench_mod.subprocess.run
+        monkeypatch.setattr(bench_mod.subprocess, "run",
+                            lambda *a, **kw: calls.append(kw) or real_run(*a, **kw))
+        bench_mod._git_describe.cache_clear()
+        first = run_experiment(make_cfg(epochs=1)).metadata["git"]
+        second = run_experiment(make_cfg(epochs=1, lr=0.2)).metadata["git"]
+        assert len(calls) == 1
+        assert first == second
+        # The package's own checkout, not whatever directory the caller is in.
+        assert os.path.samefile(calls[0]["cwd"], os.path.dirname(bench_mod.__file__))
+
     def test_metadata_fields_present(self):
         record = run_experiment(make_cfg(epochs=1))
-        for key in ("config_hash", "git", "platform", "kind", "lr", "eps"):
+        # Every hashed setting, not only the ones a grid varies.
+        for key in ("config_hash", "git", "platform", "kind", "lr", "eps", "opt_seed",
+                    "test_fraction", "add_bias", "weight_init", "rho"):
             assert key in record.metadata
 
     def test_csv_round_trip(self, tmp_path):
@@ -258,6 +274,16 @@ class TestCli:
             "--n-features", "5", "--out", str(tmp_path / "d.csv"),
         ])
         assert code == 3
+
+    @pytest.mark.parametrize("kind", ["adagram_ps", "adagram_fr", "adagram_exact"])
+    def test_preconditioner_overflow_is_divergence(self, kind, capsys):
+        # eps = 1e-310 makes ||gbar||^2 overflow at the first step.
+        code = cli_main([
+            "--dataset", "synthetic:dense", "--optimizer", kind, "--eps", "1e-310",
+            "--epochs", "2", "--n-features", "4", "--n-samples", "50",
+        ])
+        assert code == 3
+        assert "diverged after 0 epochs" in capsys.readouterr().err
 
     def test_verify_passes(self, capsys):
         assert cli_main(["--verify"]) == 0

@@ -10,7 +10,6 @@ from adagram.precond import (
     IntegratorState,
     IntegratorVariant,
     PreconditionerBudgetError,
-    ScalarCoefficients,
     alpha_of,
     apply_inverse,
     beta_of,
@@ -46,10 +45,11 @@ class TestScalarHelpers:
 
     @pytest.mark.parametrize("s", [0.0, 1e-12, 0.5, 1.0, 42.0, 1e6])
     def test_coefficient_ranges_and_relation(self, s):
-        c = ScalarCoefficients.from_norm_sq(s)
-        assert 0 < c.alpha <= 0.5
-        assert 0 < c.beta <= 0.5
-        assert c.beta == pytest.approx(c.alpha / math.sqrt(1 + s), rel=1e-12)
+        alpha = alpha_of(s)
+        beta = beta_of(alpha, s)
+        assert 0 < alpha <= 0.5
+        assert 0 < beta <= 0.5
+        assert beta == pytest.approx(alpha / math.sqrt(1 + s), rel=1e-12)
 
 
 class TestApplyInverse:
