@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dtrtri as _dtrtri
+from scipy.linalg.lapack import dpotrf as _dpotrf, dtrtri as _dtrtri
 
 # Dense reconstruction is a test/diagnostic device; keep it impossible at scale.
 MATERIALIZE_CAP = 64
@@ -110,17 +110,25 @@ def orthogonal_factorization(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if m.ndim != 2 or m.shape[0] < m.shape[1]:
         raise ValueError(f"expected a tall n x r matrix, got shape {m.shape}")
     result = _cholesky_qr2(m)
-    if result is None:
-        q, r = np.linalg.qr(m)
-    else:
-        q, r = result
+    if result is not None:
+        return result
+    q, r = np.linalg.qr(m)
     flip = np.diag(r) < 0.0
-    if flip.any():
-        q = q.copy()
-        r = r.copy()
-        q[:, flip] *= -1.0
-        r[flip, :] *= -1.0
+    q[:, flip] *= -1.0
+    r[flip, :] *= -1.0
     return q, r
+
+
+def _cholesky(gram: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of a small Gram matrix.
+
+    Calls LAPACK directly: numpy's wrapper costs more than the r x r
+    factorization itself, a fixed per-step cost that does not grow with n.
+    """
+    low, info = _dpotrf(gram, lower=1, clean=1)
+    if info != 0:
+        raise np.linalg.LinAlgError("matrix is not positive definite")
+    return low
 
 
 def _inv_lower(low: np.ndarray) -> np.ndarray:
@@ -136,22 +144,22 @@ def _cholesky_qr2(m: np.ndarray):
 
     The r x r triangular factors are inverted explicitly so every tall
     product is a plain GEMM; inaccuracy from the first inversion is wiped
-    out by the second pass.
+    out by the second pass.  Both Cholesky diagonals are positive, so the
+    returned r needs no sign fix.
     """
     try:
-        low1 = np.linalg.cholesky(m.T @ m)
+        low1 = _cholesky(m.T @ m)
         q1 = m @ _inv_lower(low1).T
         gram2 = q1.T @ q1
     except np.linalg.LinAlgError:
         return None
-    if not np.isfinite(gram2).all():
-        return None
     # Pass one must land near orthonormal for pass two to certify eps-level
-    # orthogonality; otherwise the panel is too ill-conditioned.
-    if np.abs(gram2 - np.eye(m.shape[1])).max() > 1e-3:
+    # orthogonality; otherwise the panel is too ill-conditioned.  The
+    # negated test also rejects a non-finite gram2.
+    if not np.abs(gram2 - np.eye(m.shape[1])).max() <= 1e-3:
         return None
     try:
-        low2 = np.linalg.cholesky(gram2)
+        low2 = _cholesky(gram2)
     except np.linalg.LinAlgError:
         return None
     q = q1 @ _inv_lower(low2).T
