@@ -291,6 +291,7 @@ def resolve_dataset(cfg: ExperimentConfig) -> Dataset:
 
 
 def _prepare(cfg: ExperimentConfig):
+    """The config's split data, read-only: a grid shares it between cells."""
     ds = resolve_dataset(cfg)
     train, test = split_standardize(ds, cfg.test_fraction, cfg.seed)
     x_train, x_test = train.x, test.x
@@ -301,7 +302,17 @@ def _prepare(cfg: ExperimentConfig):
         raise ConfigError(f"dataset {ds.name!r} has a single class")
     m = 1 if ds.n_classes == 2 else ds.n_classes
     link = glm.Link.SIGMOID if m == 1 else glm.Link.SOFTMAX
+    for a in (x_train, train.y, x_test, test.y):
+        a.flags.writeable = False
     return x_train, train.y, x_test, test.y, m, link
+
+
+def _check_budget(cfg: ExperimentConfig, data) -> None:
+    """Refuse an exact-backend run that would overrun its budget."""
+    if cfg.optimizer.kind is OptimizerKind.ADAGRAM_EXACT:
+        n_train, n = data[0].shape
+        steps = cfg.epochs * math.ceil(n_train / cfg.batch_size)
+        precond.check_exact_budget(steps, data[4] * n)
 
 
 def _init_params(cfg: ExperimentConfig, m: int, n: int) -> ParamState:
@@ -311,14 +322,17 @@ def _init_params(cfg: ExperimentConfig, m: int, n: int) -> ParamState:
     return ParamState(0.01 * rng.standard_normal((m, n)))
 
 
-def run_experiment(cfg: ExperimentConfig) -> RunRecord:
+def run_experiment(cfg: ExperimentConfig, data=None) -> RunRecord:
     """Train per the config and return the per-epoch trace.
 
-    Non-finite losses or gradients truncate the record at the last finite
-    epoch and set the divergence flag.
+    A grid passes its shared ``data``.  Non-finite losses or gradients
+    truncate the record at the last finite epoch and set the divergence flag.
     """
-    x_train, y_train, x_test, y_test, m, link = _prepare(cfg)
-    n = x_train.shape[1]
+    if data is None:
+        data = _prepare(cfg)
+    _check_budget(cfg, data)
+    x_train, y_train, x_test, y_test, m, link = data
+    n_train, n = x_train.shape
     params = _init_params(cfg, m, n)
     optimizer = make_optimizer(cfg.optimizer, (m, n))
     shuffle_rng = np.random.default_rng((cfg.seed, 1))
@@ -330,17 +344,18 @@ def run_experiment(cfg: ExperimentConfig) -> RunRecord:
         **config_fields(cfg),
     }
 
+    # Checked once: each step cuts its minibatch from the checked data.
+    model = glm.GlmModel(params.weights, link)
+    train, test = glm.Batch(x_train, y_train), glm.Batch(x_test, y_test)
+    glm.check_labels(model, train)
     rows: list[EpochRow] = []
     diverged = False
     wall = 0.0
-    n_train = x_train.shape[0]
     for epoch in range(1, cfg.epochs + 1):
         perm = shuffle_rng.permutation(n_train)
         try:
             for start in range(0, n_train, cfg.batch_size):
-                idx = perm[start:start + cfg.batch_size]
-                batch = glm.Batch(x_train[idx], y_train[idx])
-                model = glm.GlmModel(params.weights, link)
+                batch = train.rows(perm[start:start + cfg.batch_size])
                 t0 = time.perf_counter()
                 grad = glm.gradient(model, batch)
                 params = optimizer.step(params, grad)
@@ -348,13 +363,13 @@ def run_experiment(cfg: ExperimentConfig) -> RunRecord:
                 if not np.isfinite(params.weights).all():
                     diverged = True
                     break
+                model.theta = params.weights  # found finite just above
         except NonFiniteGradientError:
             diverged = True
         if diverged:
             break
-        model = glm.GlmModel(params.weights, link)
-        train_loss = glm.loss(model, glm.Batch(x_train, y_train))
-        test_loss = glm.loss(model, glm.Batch(x_test, y_test))
+        train_loss = glm.loss(model, train)
+        test_loss = glm.loss(model, test)
         test_acc = glm.accuracy(model, x_test, y_test)
         if not (math.isfinite(train_loss) and math.isfinite(test_loss)):
             diverged = True
@@ -416,11 +431,15 @@ def select_best(entries) -> int:
 def grid_search(space: dict, base: ExperimentConfig,
                 max_workers: int = 1) -> GridResult:
     configs = expand_grid(space, base)
+    data = _prepare(base)  # no grid axis changes the data
+    for cfg in configs:
+        _check_budget(cfg, data)
+    run = functools.partial(run_experiment, data=data)
     if max_workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=max_workers) as pool:
-            records = list(pool.map(run_experiment, configs))
+            records = list(pool.map(run, configs))
     else:
-        records = [run_experiment(c) for c in configs]
+        records = [run(c) for c in configs]
     entries = list(zip(configs, records))
     best = select_best(entries)
     return GridResult(entries[best][0], entries[best][1], entries)

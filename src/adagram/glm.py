@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,10 +50,11 @@ class GlmModel:
 
 @dataclass
 class Batch:
-    """Feature rows with integer labels."""
+    """Feature rows with integer labels, once checked in 0..label_bound-1."""
 
     x: np.ndarray
     y: np.ndarray
+    label_bound: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.x = np.asarray(self.x, dtype=float)
@@ -69,6 +70,12 @@ class Batch:
     def size(self) -> int:
         return self.x.shape[0]
 
+    def rows(self, idx: np.ndarray) -> "Batch":
+        """The rows at non-empty ``idx``; they need no checks of their own."""
+        sub = object.__new__(Batch)
+        sub.x, sub.y, sub.label_bound = self.x[idx], self.y[idx], self.label_bound
+        return sub
+
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function."""
@@ -80,19 +87,23 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_labels(model: GlmModel, batch: Batch) -> np.ndarray:
+def check_labels(model: GlmModel, batch: Batch) -> np.ndarray:
+    """The batch's labels as integers in range; recorded on the batch."""
+    n_classes = 2 if model.link is Link.SIGMOID else model.theta.shape[0]
+    if 0 < batch.label_bound <= n_classes:
+        return batch.y
     y = batch.y
     if not np.issubdtype(y.dtype, np.integer):
         y_int = y.astype(int)
         if not np.array_equal(y_int, y):
             raise ValueError("labels must be integers")
         y = y_int
-    n_classes = 2 if model.link is Link.SIGMOID else model.theta.shape[0]
     if y.min(initial=0) < 0 or y.max(initial=0) >= n_classes:
         raise ValueError(
             f"labels out of range: expected 0..{n_classes - 1}, "
             f"got [{y.min()}, {y.max()}]"
         )
+    batch.y, batch.label_bound = y, n_classes
     return y
 
 
@@ -107,7 +118,7 @@ def loss(model: GlmModel, batch: Batch) -> float:
     Per-sample terms use log-sum-exp; the reduction uses exactly rounded
     summation (math.fsum), so the value is independent of sample order.
     """
-    y = _check_labels(model, batch)
+    y = check_labels(model, batch)
     if model.link is Link.SIGMOID:
         z = batch.x @ model.theta[0]
         terms = np.logaddexp(0.0, z) - y * z
@@ -127,7 +138,7 @@ def gradient(model: GlmModel, batch: Batch) -> np.ndarray:
     Binary: (1/b) sum_i (sigma(theta^T x_i) - y_i) x_i.
     Softmax: (1/b) sum_i (p_i - onehot(y_i)) x_i^T.
     """
-    y = _check_labels(model, batch)
+    y = check_labels(model, batch)
     if model.link is Link.SIGMOID:
         z = batch.x @ model.theta[0]
         resid = sigmoid(z) - y
@@ -151,7 +162,7 @@ def batch_hessian(model: GlmModel, batch: Batch) -> np.ndarray:
         raise ValueError(
             f"batch_hessian capped at {HESSIAN_FEATURE_CAP} features, got {n}"
         )
-    _check_labels(model, batch)
+    check_labels(model, batch)
     p = sigmoid(batch.x @ model.theta[0])
     weights = p * (1.0 - p)
     return (batch.x * weights[:, None]).T @ batch.x / batch.size

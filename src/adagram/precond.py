@@ -73,7 +73,9 @@ class ExactPQState:
     not the scalable one).
     """
 
-    def __init__(self, dim: int, eps: float, max_values: int = 10_000_000):
+    max_values = 10_000_000
+
+    def __init__(self, dim: int, eps: float, max_values: int = max_values):
         _check_eps_dim(dim, eps)
         self.eps = float(eps)
         self.p = np.zeros((dim, 0))
@@ -144,18 +146,23 @@ def preconditioned_direction(gbar: np.ndarray) -> np.ndarray:
     return gbar / math.sqrt(1.0 + float(gbar @ gbar))
 
 
+def check_exact_budget(steps: int, dim: int,
+                       max_values: int = ExactPQState.max_values) -> None:
+    """Refuse ``steps`` updates of an exact backend of dimension ``dim``."""
+    if steps * 2 * dim > max_values:
+        raise PreconditionerBudgetError(
+            f"exact preconditioner would store {steps * 2 * dim} values "
+            f"(budget {max_values}); use a low-rank backend"
+        )
+
+
 def update_exact(state: ExactPQState, gbar: np.ndarray) -> ExactPQState:
     """Absorb a transformed gradient into the exact backend (in place).
 
     Appends beta * gbar to P and (I - Q P^T) gbar to Q.
     """
     gbar = _check_vector(state, gbar)
-    needed = (state.t + 1) * 2 * state.dim
-    if needed > state.max_values:
-        raise PreconditionerBudgetError(
-            f"exact preconditioner would store {needed} values "
-            f"(budget {state.max_values}); use a low-rank backend"
-        )
+    check_exact_budget(state.t + 1, state.dim, state.max_values)
     norm_sq = float(gbar @ gbar)
     beta = beta_of(alpha_of(norm_sq), norm_sq)
     q_col = gbar - state.q @ (state.p.T @ gbar)
@@ -172,6 +179,9 @@ def update_integrator(state: IntegratorState, gbar: np.ndarray) -> IntegratorSta
     weight mu the represented matrix becomes mu * A + (1 - mu) * dA;
     without one the increment accumulates unweighted.
     """
+    if state.mu == 1.0:  # mu * A + 0 * dA is A: the factors stay as built
+        state.t += 1
+        return state
     gbar = _check_vector(state, gbar)
     norm_sq = float(gbar @ gbar)
     beta = beta_of(alpha_of(norm_sq), norm_sq)

@@ -2,6 +2,7 @@
 
 import math
 import os
+import time
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import adagram.bench as bench_mod
 import adagram.precond as precond_mod
 from adagram.bench import (
     CSV_COLUMNS,
+    FIELDS,
     ConfigError,
     ExperimentConfig,
     RunRecord,
@@ -25,6 +27,7 @@ from adagram.bench import (
 from adagram.cli import main as cli_main
 from adagram.data import save_libsvm
 from adagram.optim import OptimizerConfig, OptimizerKind
+from adagram.precond import PreconditionerBudgetError
 
 
 def make_cfg(kind=OptimizerKind.SGD, lr=0.1, epochs=3, dataset="synthetic:isotropic",
@@ -40,6 +43,13 @@ def make_cfg(kind=OptimizerKind.SGD, lr=0.1, epochs=3, dataset="synthetic:isotro
         n_features=kw.pop("n_features", 6),
         **kw,
     )
+
+
+def rows_without_wall_clock(record):
+    """The CSV text of a record with the wall-clock column dropped."""
+    lines = record.to_csv().splitlines()
+    return [l if l.startswith("#") else ",".join(l.split(",")[:1] + l.split(",")[2:])
+            for l in lines]
 
 
 class TestRunExperiment:
@@ -150,6 +160,100 @@ class TestRunExperiment:
         )
         assert len(record.rows) == 2
         assert record.rows[0].train_loss <= math.log(3) + 1e-9
+
+
+class TestPreparedData:
+    def test_prepare_reads_no_grid_axis(self):
+        # A grid prepares its data once from the base config, which is only
+        # right while no setting that _prepare reads is a grid axis.
+        cfg = make_cfg(dataset="synthetic:dense")
+        read = set()
+
+        class Recording:
+            def __getattr__(self, name):
+                read.add(name)
+                return getattr(cfg, name)
+
+        bench_mod._prepare(Recording())
+        data_fields = [f for f in FIELDS if not f.optimizer and f.attr in read]
+        assert {f.key for f in data_fields} >= {"dataset", "seed", "test_fraction"}
+        assert [f.key for f in data_fields if f.axis] == []
+        assert "optimizer" not in read
+
+    def test_prepared_arrays_are_read_only(self):
+        x_train, y_train, x_test, y_test, _, _ = bench_mod._prepare(make_cfg())
+        for a in (x_train, y_train, x_test, y_test):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
+
+    def test_one_load_per_serial_grid(self, tmp_path, monkeypatch):
+        from adagram.data import Dataset
+
+        rng = np.random.default_rng(2)
+        path = tmp_path / "toy.libsvm"
+        save_libsvm(Dataset(rng.standard_normal((80, 3)), rng.integers(0, 2, 80),
+                            n_classes=2, name="toy"), str(path))
+        loads = []
+        real_load = bench_mod.load_libsvm
+        monkeypatch.setattr(bench_mod, "load_libsvm",
+                            lambda p: loads.append(p) or real_load(p))
+        result = grid_search({"learning_rate": [0.1, 0.3], "batch_size": [8, 16]},
+                             make_cfg(dataset=str(path), epochs=1))
+        assert len(result.entries) == 4
+        assert loads == [str(path)]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_grid_cell_matches_run_alone(self, workers):
+        base = make_cfg(kind=OptimizerKind.ADAGRAM_PS, epochs=2, dataset="synthetic:dense")
+        space = {"learning_rate": [0.1, 1.0], "rank": [1, 3], "mu": [0.9, 1.0],
+                 "batch_size": [16, 64]}
+        result = grid_search(space, base, max_workers=workers)
+        assert len(result.entries) == 16
+        for cfg, record in result.entries:
+            assert rows_without_wall_clock(record) == \
+                rows_without_wall_clock(run_experiment(cfg))
+
+    def test_mu_one_trace_independent_of_kind_and_rank(self):
+        # At mu = 1 the preconditioner stays eps * I, so the step is
+        # lr * gbar / sqrt(1 + |gbar|^2) with gbar = g / sqrt(eps).
+        traces = [
+            rows_without_wall_clock(run_experiment(make_cfg(
+                kind=kind, rank=rank, mu=1.0, epochs=3, dataset="synthetic:dense")))
+            for kind in (OptimizerKind.ADAGRAM_PS, OptimizerKind.ADAGRAM_FR)
+            for rank in (1, 5)
+        ]
+        rows = [[l for l in t if not l.startswith("#")] for t in traces]
+        assert len(rows[0]) == 4
+        assert all(r == rows[0] for r in rows[1:])
+
+
+class TestExactBudget:
+    # 499 features plus the bias at batch 1 for 10 epochs: 16000 steps of
+    # 2 * 500 stored values, over the 10**7 budget.
+    OVER = dict(kind=OptimizerKind.ADAGRAM_EXACT, dataset="synthetic:dense",
+                n_features=499, n_samples=2000, epochs=10)
+
+    def test_refused_before_the_first_step(self, monkeypatch):
+        steps = []
+        monkeypatch.setattr(bench_mod.glm, "gradient", lambda *a: steps.append(a))
+        t0 = time.perf_counter()
+        with pytest.raises(PreconditionerBudgetError):
+            run_experiment(make_cfg(batch_size=1, **self.OVER))
+        assert time.perf_counter() - t0 < 5.0
+        assert steps == []
+
+    def test_grid_checks_every_cell_first(self, monkeypatch):
+        runs = []
+        monkeypatch.setattr(bench_mod, "run_experiment", lambda *a, **kw: runs.append(a))
+        with pytest.raises(PreconditionerBudgetError):
+            grid_search({"batch_size": [64, 1]}, make_cfg(**self.OVER))
+        assert runs == []
+
+    def test_cli_exit_code(self, capsys):
+        code = cli_main(["--dataset", "synthetic:dense", "--optimizer", "adagram_exact",
+                         "--n-features", "499", "--batch-size", "1", "--epochs", "10"])
+        assert code == 2
+        assert "budget" in capsys.readouterr().err
 
 
 class TestGridSearch:

@@ -12,6 +12,7 @@ from adagram.glm import (
     accuracy,
     add_bias_column,
     batch_hessian,
+    check_labels,
     gradient,
     loss,
     predict,
@@ -186,3 +187,20 @@ class TestHelpers:
             Batch(np.zeros((2, 3)), np.zeros(3, dtype=int))
         with pytest.raises(ValueError):
             Batch(np.zeros((0, 3)), np.zeros(0, dtype=int))
+
+    def test_labels_checked_once_and_kept_by_rows(self):
+        batch = Batch(np.ones((4, 2)), np.array([0.0, 1.0, 1.0, 0.0]))
+        assert batch.label_bound == 0
+        np.testing.assert_array_equal(check_labels(binary_model([0.0, 0.0]), batch),
+                                      [0, 1, 1, 0])
+        assert batch.label_bound == 2 and batch.y.dtype.kind == "i"
+        sub = batch.rows(np.array([3, 1]))
+        np.testing.assert_array_equal(sub.y, [0, 1])
+        assert sub.label_bound == 2 and sub.size == 2
+        # A three-class model accepts labels checked for two classes.
+        assert check_labels(GlmModel(np.zeros((3, 2)), Link.SOFTMAX), sub) is sub.y
+
+    def test_unchecked_labels_still_rejected(self):
+        bad = Batch(np.ones((2, 1)), np.array([0, 2]))
+        with pytest.raises(ValueError, match="out of range"):
+            gradient(binary_model([1.0]), bad.rows(np.array([0, 1])))

@@ -13,6 +13,7 @@ from adagram.precond import (
     alpha_of,
     apply_inverse,
     beta_of,
+    check_exact_budget,
     preconditioned_direction,
     update_exact,
     update_integrator,
@@ -112,6 +113,13 @@ class TestUpdateExact:
         with pytest.raises(PreconditionerBudgetError):
             update_exact(state, np.ones(10))  # would hit 60
 
+    def test_budget_known_before_the_first_update(self):
+        # 2 * dim values per step against the class-wide default budget.
+        check_exact_budget(ExactPQState.max_values // 2000, 1000)
+        with pytest.raises(PreconditionerBudgetError, match="budget 10000000"):
+            check_exact_budget(ExactPQState.max_values // 2000 + 1, 1000)
+        check_exact_budget(3, 10, max_values=60)
+
 
 class TestIsometry:
     @pytest.mark.parametrize("eps", [1e-2, 1e-1, 1.0])
@@ -194,6 +202,15 @@ class TestUpdateIntegrator:
             before = state.factors.materialize()
             update_integrator(state, rng.standard_normal(6))
             assert np.linalg.norm(state.factors.materialize() - before) <= 1e-12
+
+    @pytest.mark.parametrize("variant", list(IntegratorVariant))
+    def test_mu_one_leaves_factors_untouched(self, variant):
+        state = IntegratorState(6, eps=1.0, rank=2, variant=variant, mu=1.0)
+        factors = state.factors
+        for t in (1, 2):
+            assert update_integrator(state, np.arange(6.0)) is state
+            assert state.factors is factors and state.t == t
+        assert not factors.s.any()
 
     @pytest.mark.parametrize("variant", list(IntegratorVariant))
     def test_matches_exact_backend_under_budget(self, variant):
