@@ -310,9 +310,9 @@ def _prepare(cfg: ExperimentConfig):
 def _check_budget(cfg: ExperimentConfig, data) -> None:
     """Refuse an exact-backend run that would overrun its budget."""
     if cfg.optimizer.kind is OptimizerKind.ADAGRAM_EXACT:
-        n_train, n = data[0].shape
-        steps = cfg.epochs * math.ceil(n_train / cfg.batch_size)
-        precond.check_exact_budget(steps, data[4] * n)
+        x_train, _, _, _, m, _ = data
+        steps = cfg.epochs * math.ceil(x_train.shape[0] / cfg.batch_size)
+        precond.check_exact_budget(steps, m * x_train.shape[1])
 
 
 def _init_params(cfg: ExperimentConfig, m: int, n: int) -> ParamState:

@@ -72,7 +72,7 @@ class Batch:
 
     def rows(self, idx: np.ndarray) -> "Batch":
         """The rows at non-empty ``idx``; they need no checks of their own."""
-        sub = object.__new__(Batch)
+        sub = object.__new__(type(self))
         sub.x, sub.y, sub.label_bound = self.x[idx], self.y[idx], self.label_bound
         return sub
 
