@@ -1,9 +1,11 @@
 """Experiment harness: single runs, grid searches, and invariant checks.
 
 Runs train a GLM on a synthetic or LIBSVM dataset with one optimizer and
-emit a per-epoch metric trace (CSV).  Wall-clock accounting covers
-gradient computation and optimizer steps only; metric evaluation is
-identical across optimizers and excluded.
+emit a per-epoch metric trace (CSV).  The cells of a grid that share a
+minibatch stream train in lockstep as one stacked computation; a single
+run is a stack of one.  Wall-clock accounting covers gradient computation
+and optimizer steps only; metric evaluation is identical across
+optimizers and excluded.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from .data import (
 )
 from .optim import (
     ADAGRAM_KINDS,
-    NonFiniteGradientError,
     OptimizerConfig,
     OptimizerKind,
     ParamState,
@@ -315,71 +316,85 @@ def _check_budget(cfg: ExperimentConfig, data) -> None:
         precond.check_exact_budget(steps, m * x_train.shape[1])
 
 
-def _init_params(cfg: ExperimentConfig, m: int, n: int) -> ParamState:
+def _init_weights(cfg: ExperimentConfig, m: int, n: int) -> np.ndarray:
     if cfg.weight_init == "zeros":
-        return ParamState.zeros(m, n)
-    rng = np.random.default_rng(cfg.optimizer.seed)
-    return ParamState(0.01 * rng.standard_normal((m, n)))
+        return np.zeros((m, n))
+    return 0.01 * np.random.default_rng(cfg.optimizer.seed).standard_normal((m, n))
 
 
-def run_experiment(cfg: ExperimentConfig, data=None) -> RunRecord:
-    """Train per the config and return the per-epoch trace.
+def run_experiment(cfg: ExperimentConfig) -> RunRecord:
+    """Train per the config and return the per-epoch trace: a stack of one.
 
-    A grid passes its shared ``data``.  Non-finite losses or gradients
-    truncate the record at the last finite epoch and set the divergence flag.
+    Non-finite losses or gradients truncate the record at the last finite
+    epoch and set the divergence flag.
     """
-    if data is None:
-        data = _prepare(cfg)
+    data = _prepare(cfg)
     _check_budget(cfg, data)
-    x_train, y_train, x_test, y_test, m, link = data
-    n_train, n = x_train.shape
-    params = _init_params(cfg, m, n)
-    optimizer = make_optimizer(cfg.optimizer, (m, n))
-    shuffle_rng = np.random.default_rng((cfg.seed, 1))
-
-    metadata = {
-        "config_hash": config_hash(cfg),
-        "git": _git_describe(),
-        "platform": platform.platform(),
-        **config_fields(cfg),
-    }
-
-    # Checked once: each step cuts its minibatch from the checked data.
-    model = glm.GlmModel(params.weights, link)
-    train, test = glm.Batch(x_train, y_train), glm.Batch(x_test, y_test)
-    glm.check_labels(model, train)
-    rows: list[EpochRow] = []
-    diverged = False
-    wall = 0.0
-    for epoch in range(1, cfg.epochs + 1):
-        perm = shuffle_rng.permutation(n_train)
-        try:
-            for start in range(0, n_train, cfg.batch_size):
-                batch = train.rows(perm[start:start + cfg.batch_size])
-                t0 = time.perf_counter()
-                grad = glm.gradient(model, batch)
-                params = optimizer.step(params, grad)
-                wall += time.perf_counter() - t0
-                if not np.isfinite(params.weights).all():
-                    diverged = True
-                    break
-                model.theta = params.weights  # found finite just above
-        except NonFiniteGradientError:
-            diverged = True
-        if diverged:
-            break
-        train_loss = glm.loss(model, train)
-        test_loss = glm.loss(model, test)
-        test_acc = glm.accuracy(model, x_test, y_test)
-        if not (math.isfinite(train_loss) and math.isfinite(test_loss)):
-            diverged = True
-            break
-        rows.append(EpochRow(epoch, wall, train_loss, test_loss, test_acc))
-
-    record = RunRecord(rows, metadata, diverged)
+    record, = run_stack([cfg], data)
     if cfg.output_path:
         record.save(cfg.output_path)
     return record
+
+
+def run_stack(cfgs: list[ExperimentConfig], data) -> list[RunRecord]:
+    """Train cells that differ only in learning rate, eps and mu in lockstep.
+
+    Each step cuts one minibatch and steps the stack, so a cell's trace is
+    the one it gives alone.  A cell whose gradient, preconditioner, weights
+    or losses turn non-finite is flagged diverged and leaves the stack.  A
+    step's wall clock is split equally among the cells it advanced."""
+    if len({tuple(f.get(c) for f in FIELDS if f.key not in ("lr", "eps", "mu"))
+            for c in cfgs}) > 1:
+        raise ConfigError("the cells of a stack differ in more than lr, eps and mu")
+    first = cfgs[0]
+    x_train, y_train, x_test, y_test, m, link = data
+    n_train, n = x_train.shape
+    weights = np.stack([_init_weights(c, m, n) for c in cfgs])
+    optimizer = make_optimizer([c.optimizer for c in cfgs], (m, n))
+    shuffle_rng = np.random.default_rng((first.seed, 1))
+    records = [RunRecord([], {"config_hash": config_hash(c), "git": _git_describe(),
+                              "platform": platform.platform(), **config_fields(c)})
+               for c in cfgs]
+
+    # Checked once: each step cuts its minibatch from the checked data.
+    model = glm.GlmModel(weights, link)
+    train, test = glm.Batch(x_train, y_train), glm.Batch(x_test, y_test)
+    glm.check_labels(model, train)
+    params, stack, wall = ParamState(weights), list(records), np.zeros(len(cfgs))
+    for epoch in range(1, first.epochs + 1):
+        perm = shuffle_rng.permutation(n_train)
+        for start in range(0, n_train, first.batch_size):
+            batch = train.rows(perm[start:start + first.batch_size])
+            t0 = time.perf_counter()
+            params = optimizer.step(params, glm.gradient(model, batch))
+            wall += (time.perf_counter() - t0) / len(stack)
+            ok = np.isfinite(params.weights).all(axis=(1, 2))
+            if not ok.all():
+                params, wall, stack = _keep(ok, params, wall, stack, optimizer)
+                if not stack:
+                    return records
+            model.theta = params.weights  # found finite just above
+        train_loss, test_loss = glm.loss(model, train), glm.loss(model, test)
+        test_acc = glm.accuracy(model, x_test, y_test)
+        ok = np.isfinite(train_loss) & np.isfinite(test_loss)
+        for rec, row in zip(stack, zip(wall, train_loss, test_loss, test_acc, ok)):
+            if row[-1]:
+                rec.rows.append(EpochRow(epoch, *map(float, row[:-1])))
+        if not ok.all():
+            params, wall, stack = _keep(ok, params, wall, stack, optimizer)
+            model.theta = params.weights
+        if not stack:
+            break
+    return records
+
+
+def _keep(ok, params, wall, stack, optimizer):
+    """Flag the cells where ``ok`` is false diverged and take them out."""
+    for rec in itertools.compress(stack, ~ok):
+        rec.diverged = True
+    optimizer.select(ok)
+    return (ParamState(params.weights[ok], params.step), wall[ok],
+            list(itertools.compress(stack, ok)))
 
 
 # ---------------------------------------------------------------------------
@@ -430,17 +445,25 @@ def select_best(entries) -> int:
 
 def grid_search(space: dict, base: ExperimentConfig,
                 max_workers: int = 1) -> GridResult:
+    """Train every cell and select the best.  The cells with one batch size
+    and rank share a minibatch stream (the shuffle depends on the seed
+    alone) and train as one stack; workers split the grid by stacks."""
     configs = expand_grid(space, base)
     data = _prepare(base)  # no grid axis changes the data
     for cfg in configs:
         _check_budget(cfg, data)
-    run = functools.partial(run_experiment, data=data)
+    stacks: dict = {}
+    for cfg in configs:
+        stacks.setdefault((cfg.batch_size, cfg.optimizer.rank), []).append(cfg)
+    run = functools.partial(run_stack, data=data)
     if max_workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=max_workers) as pool:
-            records = list(pool.map(run, configs))
+            results = list(pool.map(run, stacks.values()))
     else:
-        records = [run(c) for c in configs]
-    entries = list(zip(configs, records))
+        results = [run(cells) for cells in stacks.values()]
+    record = {id(c): r for cells, recs in zip(stacks.values(), results)
+              for c, r in zip(cells, recs)}
+    entries = [(cfg, record[id(cfg)]) for cfg in configs]
     best = select_best(entries)
     return GridResult(entries[best][0], entries[best][1], entries)
 

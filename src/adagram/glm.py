@@ -1,4 +1,8 @@
-"""Logistic-regression and softmax models: loss, gradient, batch Hessian."""
+"""Logistic-regression and softmax models: loss, gradient, batch Hessian.
+
+A K x m x n theta stacks K models on one batch: loss, gradient and
+accuracy then give each model's value as it would be alone.
+"""
 
 from __future__ import annotations
 
@@ -30,22 +34,14 @@ class GlmModel:
 
     def __post_init__(self) -> None:
         self.theta = np.asarray(self.theta, dtype=float)
-        if self.theta.ndim != 2:
+        if self.theta.ndim not in (2, 3):
             raise ValueError(f"theta must be m x n, got shape {self.theta.shape}")
         if not np.isfinite(self.theta).all():
             raise ValueError("theta must be finite")
 
-    @classmethod
-    def binary(cls, n_features: int) -> "GlmModel":
-        return cls(np.zeros((1, n_features)), Link.SIGMOID)
-
-    @classmethod
-    def softmax(cls, n_classes: int, n_features: int) -> "GlmModel":
-        return cls(np.zeros((n_classes, n_features)), Link.SOFTMAX)
-
     @property
     def n_features(self) -> int:
-        return self.theta.shape[1]
+        return self.theta.shape[-1]
 
 
 @dataclass
@@ -78,18 +74,14 @@ class Batch:
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
-    out = np.empty_like(z, dtype=float)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """Numerically stable logistic function: exp never sees z > 0."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def check_labels(model: GlmModel, batch: Batch) -> np.ndarray:
     """The batch's labels as integers in range; recorded on the batch."""
-    n_classes = 2 if model.link is Link.SIGMOID else model.theta.shape[0]
+    n_classes = 2 if model.link is Link.SIGMOID else model.theta.shape[-2]
     if 0 < batch.label_bound <= n_classes:
         return batch.y
     y = batch.y
@@ -108,45 +100,52 @@ def check_labels(model: GlmModel, batch: Batch) -> np.ndarray:
 
 
 def _log_sum_exp(z: np.ndarray) -> np.ndarray:
-    zmax = z.max(axis=1, keepdims=True)
-    return (zmax + np.log(np.sum(np.exp(z - zmax), axis=1, keepdims=True)))[:, 0]
+    zmax = z.max(axis=-1, keepdims=True)
+    return (zmax + np.log(np.sum(np.exp(z - zmax), axis=-1, keepdims=True)))[..., 0]
 
 
-def loss(model: GlmModel, batch: Batch) -> float:
-    """Mean cross-entropy over the batch.
+def _logits(model: GlmModel, x: np.ndarray) -> np.ndarray:
+    """x theta^T, (b,) binary or (b, m) softmax: one product per model."""
+    if model.link is Link.SIGMOID:
+        return (x @ model.theta[..., 0, :, None])[..., 0]
+    return x @ model.theta.swapaxes(-1, -2)
+
+
+def loss(model: GlmModel, batch: Batch):
+    """Mean cross-entropy over the batch (an array of them for a stack).
 
     Per-sample terms use log-sum-exp; the reduction uses exactly rounded
     summation (math.fsum), so the value is independent of sample order.
     """
     y = check_labels(model, batch)
+    z = _logits(model, batch.x)
     if model.link is Link.SIGMOID:
-        z = batch.x @ model.theta[0]
         terms = np.logaddexp(0.0, z) - y * z
     else:
-        z = batch.x @ model.theta.T
-        terms = _log_sum_exp(z) - z[np.arange(batch.size), y]
-    try:
-        return math.fsum(terms.tolist()) / batch.size
-    except (OverflowError, ValueError):
-        # Terms are non-negative, so an exact-sum overflow means +inf.
-        return math.inf
+        terms = _log_sum_exp(z) - z[..., np.arange(batch.size), y]
+    means = []
+    for t in np.atleast_2d(terms):
+        try:
+            means.append(math.fsum(t.tolist()) / batch.size)
+        except (OverflowError, ValueError):  # non-negative terms: overflow is +inf
+            means.append(math.inf)
+    return means[0] if terms.ndim == 1 else np.array(means)
 
 
 def gradient(model: GlmModel, batch: Batch) -> np.ndarray:
-    """Mean cross-entropy gradient, an m x n matrix.
+    """Mean cross-entropy gradient, an m x n matrix (K x m x n for a stack).
 
     Binary: (1/b) sum_i (sigma(theta^T x_i) - y_i) x_i.
     Softmax: (1/b) sum_i (p_i - onehot(y_i)) x_i^T.
     """
     y = check_labels(model, batch)
+    z = _logits(model, batch.x)
     if model.link is Link.SIGMOID:
-        z = batch.x @ model.theta[0]
         resid = sigmoid(z) - y
-        return (resid @ batch.x)[None, :] / batch.size
-    z = batch.x @ model.theta.T
-    p = np.exp(z - _log_sum_exp(z)[:, None])
-    p[np.arange(batch.size), y] -= 1.0
-    return p.T @ batch.x / batch.size
+        return (resid[..., None, :] @ batch.x) / batch.size
+    p = np.exp(z - _log_sum_exp(z)[..., None])
+    p[..., np.arange(batch.size), y] -= 1.0
+    return p.swapaxes(-1, -2) @ batch.x / batch.size
 
 
 def batch_hessian(model: GlmModel, batch: Batch) -> np.ndarray:
@@ -171,12 +170,14 @@ def batch_hessian(model: GlmModel, batch: Batch) -> np.ndarray:
 def predict(model: GlmModel, x: np.ndarray) -> np.ndarray:
     """Predicted class indices."""
     if model.link is Link.SIGMOID:
-        return (x @ model.theta[0] >= 0.0).astype(int)
-    return np.argmax(x @ model.theta.T, axis=1)
+        return (_logits(model, x) >= 0.0).astype(int)
+    return np.argmax(_logits(model, x), axis=-1)
 
 
-def accuracy(model: GlmModel, x: np.ndarray, y: np.ndarray) -> float:
-    return float(np.mean(predict(model, x) == y))
+def accuracy(model: GlmModel, x: np.ndarray, y: np.ndarray):
+    """Share of correct predictions (an array of them for a stack)."""
+    hits = np.mean(predict(model, x) == y, axis=-1)
+    return float(hits) if hits.ndim == 0 else hits
 
 
 def add_bias_column(x: np.ndarray) -> np.ndarray:

@@ -3,6 +3,11 @@
 Two update schemes are provided: a first-order projector-splitting step
 (K-, core-, L-substeps) and a Brand-style truncated incremental SVD.  Both
 operate on factored quantities only; no n x n array is ever formed.
+
+A leading axis may stack K independent problems.  Stacked products are
+batched ``np.matmul`` calls, one BLAS call per slice, so a slice gets the
+same bits in a stack as alone; the r x r LAPACK calls, the Householder
+fallback and the degenerate truncated-SVD branch run slice by slice.
 """
 
 from __future__ import annotations
@@ -20,6 +25,11 @@ MATERIALIZE_CAP = 64
 _SUBSPACE_TOL = 1e-12
 
 
+def _t(a: np.ndarray) -> np.ndarray:
+    """Transpose of a matrix, or of each matrix in a stack."""
+    return a.swapaxes(-1, -2)
+
+
 @dataclass
 class LowRankFactors:
     """Factorization A = u @ s @ v.T with orthonormal columns in u and v.
@@ -34,22 +44,22 @@ class LowRankFactors:
 
     @property
     def dim(self) -> int:
-        return self.u.shape[0]
+        return self.u.shape[-2]
 
     @property
     def rank(self) -> int:
-        return self.u.shape[1]
+        return self.u.shape[-1]
 
-    def copy(self) -> "LowRankFactors":
-        return LowRankFactors(self.u.copy(), self.s.copy(), self.v.copy())
+    def take(self, idx) -> "LowRankFactors":
+        return LowRankFactors(self.u[idx], self.s[idx], self.v[idx])
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """A @ x without forming A, cost O(n r)."""
-        return self.u @ (self.s @ (self.v.T @ x))
+        return (self.u @ (self.s @ (_t(self.v) @ x[..., None])))[..., 0]
 
     def apply_transpose(self, x: np.ndarray) -> np.ndarray:
         """A.T @ x without forming A, cost O(n r)."""
-        return self.v @ (self.s.T @ (self.u.T @ x))
+        return (self.v @ (_t(self.s) @ (_t(self.u) @ x[..., None])))[..., 0]
 
     def materialize(self) -> np.ndarray:
         """Dense n x n reconstruction, refused above MATERIALIZE_CAP."""
@@ -66,33 +76,40 @@ class RankOneIncrement:
     """Additive increment weight * outer(a, b), kept in factored form.
 
     All consumers contract it through matrix-vector products; the outer
-    product itself is never materialized.
+    product itself is never materialized.  A stack has K weights.
     """
 
     a: np.ndarray
     b: np.ndarray
-    weight: float
+    weight: float | np.ndarray
 
     def __post_init__(self) -> None:
         self.a = np.asarray(self.a, dtype=float)
         self.b = np.asarray(self.b, dtype=float)
-        if self.a.ndim != 1 or self.b.ndim != 1:
-            raise ValueError("increment vectors must be one-dimensional")
+        if self.a.ndim not in (1, 2) or self.b.ndim != self.a.ndim:
+            raise ValueError("increment vectors must be one-dimensional, or a stack of them")
         if not (np.isfinite(self.a).all() and np.isfinite(self.b).all()
-                and np.isfinite(self.weight)):
+                and np.isfinite(self.weight).all()):
             raise ValueError("increment must be finite")
 
+    @classmethod
+    def trusted(cls, a: np.ndarray, b: np.ndarray, weight) -> "RankOneIncrement":
+        """An increment built without checks, for a caller that checks its result."""
+        inc = object.__new__(cls)
+        inc.a, inc.b, inc.weight = a, b, weight
+        return inc
 
-def zero_factors(dim: int, rank: int) -> LowRankFactors:
-    """Rank-``rank`` factors of the zero matrix.
+
+def zero_factors(dim: int, rank: int, lead: tuple = ()) -> LowRankFactors:
+    """Rank-``rank`` factors of the zero matrix, stacked ``lead`` times.
 
     Bases are the leading identity columns and the core is zero; the first
     update rotates the basis toward the data.
     """
     if not 1 <= rank <= dim:
         raise ValueError(f"need 1 <= rank <= dim, got rank={rank}, dim={dim}")
-    u = np.eye(dim, rank)
-    return LowRankFactors(u, np.zeros((rank, rank)), u.copy())
+    u = np.broadcast_to(np.eye(dim, rank), lead + (dim, rank)).copy()
+    return LowRankFactors(u, np.zeros(lead + (rank, rank)), u.copy())
 
 
 def orthogonal_factorization(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -104,73 +121,67 @@ def orthogonal_factorization(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     round certifies orthogonality; rank-deficient or badly conditioned
     panels fall back to Householder QR, whose reflectors complete the basis
     deterministically (a zero matrix yields identity columns).  Callers
-    never see an error.
+    never see an error.  A stack of panels is factored slice by slice.
     """
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] < m.shape[1]:
-        raise ValueError(f"expected a tall n x r matrix, got shape {m.shape}")
-    result = _cholesky_qr2(m)
-    if result is not None:
-        return result
-    q, r = np.linalg.qr(m)
-    flip = np.diag(r) < 0.0
-    q[:, flip] *= -1.0
-    r[flip, :] *= -1.0
+    if m.ndim not in (2, 3) or m.shape[-2] < m.shape[-1]:
+        raise ValueError(f"expected tall n x r matrices, got shape {m.shape}")
+    q, r, failed = _cholesky_qr2(m)
+    for k in failed:  # Householder QR, signs flipped to diag(r) >= 0
+        q[k], r[k] = np.linalg.qr(m[k])
+        flip = np.diag(r[k]) < 0.0
+        q[k][:, flip] *= -1.0
+        r[k][flip, :] *= -1.0
     return q, r
 
 
-def _cholesky(gram: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of a small Gram matrix.
-
-    Calls LAPACK directly: numpy's wrapper costs more than the r x r
-    factorization itself, a fixed per-step cost that does not grow with n.
-    """
-    low, info = _dpotrf(gram, lower=1, clean=1)
-    if info != 0:
-        raise np.linalg.LinAlgError("matrix is not positive definite")
-    return low
-
-
-def _inv_lower(low: np.ndarray) -> np.ndarray:
-    """Invert a small lower-triangular factor."""
-    inv, info = _dtrtri(low, lower=1)
-    if info != 0:
-        raise np.linalg.LinAlgError("singular triangular factor")
-    return inv
+def _each(lapack, mats: np.ndarray, *flags) -> tuple[np.ndarray, list]:
+    """LAPACK on a small matrix or each of a stack (directly: numpy's wrapper
+    costs more than the r x r work): the results, Fortran-ordered so a slice's
+    products make the same BLAS calls stacked as alone, and failed indices."""
+    if mats.ndim == 2 or len(mats) == 1:
+        one = mats.ndim == 2
+        out, info = lapack(mats if one else mats[0], *flags)
+        return (out if one else out[None]), [() if one else (0,)] if info else []
+    out, failed = np.empty_like(mats).swapaxes(1, 2), []
+    for k, mat in enumerate(mats):
+        out[k], info = lapack(mat, *flags)
+        failed += [(k,)] if info else []
+    return out, failed
 
 
 def _cholesky_qr2(m: np.ndarray):
-    """CholeskyQR2, or None when the panel needs the Householder fallback.
-
-    The r x r triangular factors are inverted explicitly so every tall
-    product is a plain GEMM; inaccuracy from the first inversion is wiped
-    out by the second pass.  Both Cholesky diagonals are positive, so the
-    returned r needs no sign fix.
+    """CholeskyQR2 of a panel or each panel of a stack: q, r and the panels
+    that need the Householder fallback.  The r x r triangular factors are
+    inverted explicitly so every tall product is a plain GEMM; inaccuracy
+    from the first inversion is wiped out by the second pass.  Both
+    Cholesky diagonals are positive, so the returned r needs no sign fix.
     """
-    try:
-        low1 = _cholesky(m.T @ m)
-        q1 = m @ _inv_lower(low1).T
-        gram2 = q1.T @ q1
-    except np.linalg.LinAlgError:
-        return None
+    low1, failed1 = _each(_dpotrf, _t(m) @ m, 1, 1)  # lower, clean
+    if len(failed1) == np.prod(m.shape[:-2], dtype=int):  # every panel falls back
+        return np.empty_like(m), np.empty(m.shape[:-2] + 2 * m.shape[-1:]), failed1
+    for k in failed1:  # keep the discarded work on such a panel cheap and finite
+        low1[k] = np.eye(m.shape[-1])
+    inv1, failed2 = _each(_dtrtri, low1, 1)  # lower
+    q1 = m @ _t(inv1)
+    gram2 = _t(q1) @ q1
     # Pass one must land near orthonormal for pass two to certify eps-level
     # orthogonality; otherwise the panel is too ill-conditioned.  The
-    # negated test also rejects a non-finite gram2.
-    if not np.abs(gram2 - np.eye(m.shape[1])).max() <= 1e-3:
-        return None
-    try:
-        low2 = _cholesky(gram2)
-    except np.linalg.LinAlgError:
-        return None
-    q = q1 @ _inv_lower(low2).T
-    return q, (low1 @ low2).T
+    # comparison is also false for a non-finite gram2.
+    deviation = np.abs(gram2 - np.eye(m.shape[-1]))
+    low2, failed3 = _each(_dpotrf, gram2, 1, 1)
+    inv2, failed4 = _each(_dtrtri, low2, 1)
+    failed = failed1 + failed2 + failed3 + failed4  # a repeat redoes a fallback
+    if not deviation.max() <= 1e-3:
+        failed += map(tuple, np.argwhere(~(deviation.max(axis=(-2, -1)) <= 1e-3)).tolist())
+    return q1 @ _t(inv2), _t(low1 @ low2), failed
 
 
 def _check_increment(factors: LowRankFactors, inc: RankOneIncrement) -> None:
-    if inc.a.shape[0] != factors.dim or inc.b.shape[0] != factors.dim:
+    if inc.a.shape != factors.u.shape[:-1] or inc.b.shape != inc.a.shape:
         raise ValueError(
-            f"increment dimension {inc.a.shape[0]}/{inc.b.shape[0]} does not "
-            f"match factor dimension {factors.dim}"
+            f"increment vectors {inc.a.shape}/{inc.b.shape} do not match "
+            f"factors of shape {factors.u.shape}"
         )
 
 
@@ -191,20 +202,22 @@ def projector_splitting_step(factors: LowRankFactors,
     """
     _check_increment(factors, inc)
     u0, s0, v0 = factors.u, factors.s, factors.v
+    a, b, weight = inc.a, inc.b, np.asarray(inc.weight)[..., None]
 
-    bv = inc.weight * (inc.b @ v0)                      # (r,) row of dA @ v0
+    bv = weight * (b[..., None, :] @ v0)[..., 0, :]     # row of dA @ v0
     k1 = u0 @ s0
-    k1 += inc.a[:, None] * bv
+    k1 += a[..., :, None] * bv[..., None, :]
     u1, s1_hat = orthogonal_factorization(k1)
 
-    s0_hat = s1_hat - (u1.T @ inc.a)[:, None] * bv
+    ua = (a[..., None, :] @ u1)[..., 0, :]              # u1.T @ a
+    s0_hat = s1_hat - ua[..., :, None] * bv[..., None, :]
 
-    au = inc.weight * (inc.a @ u1)                      # (r,) row of u1.T @ dA
-    l1 = v0 @ s0_hat.T
-    l1 += inc.b[:, None] * au
+    au = weight * ua                                    # row of u1.T @ dA
+    l1 = v0 @ _t(s0_hat)
+    l1 += b[..., :, None] * au[..., None, :]
     v1, s1_t = orthogonal_factorization(l1)
 
-    return LowRankFactors(u1, s1_t.T, v1)
+    return LowRankFactors(u1, _t(s1_t), v1)
 
 
 def truncated_svd_update(factors: LowRankFactors, inc: RankOneIncrement,
@@ -221,56 +234,77 @@ def truncated_svd_update(factors: LowRankFactors, inc: RankOneIncrement,
 
 
 def rank_one_svd_combine(factors: LowRankFactors, inc: RankOneIncrement,
-                         core_scale: float, inc_scale: float) -> LowRankFactors:
+                         core_scale, inc_scale) -> LowRankFactors:
     """Best rank-r approximation of core_scale * A + inc_scale * dA.
 
     The combination is exactly representable in the bases augmented by the
     components of a and b orthogonal to span(u) and span(v); SVD-truncating
     the augmented core is therefore globally optimal in Frobenius norm.
     Degenerate directions (a in span(u), b in span(v)) simply skip the
-    augmentation, so rank-deficient input never errors.
+    augmentation, so rank-deficient input never errors.  The scales may
+    be one per stacked slice.
     """
     _check_increment(factors, inc)
-    u0, s0, v0 = factors.u, factors.s, factors.v
-    r = factors.rank
-    w = inc.weight * inc_scale
+    u0, s0, v0 = (x.reshape((-1,) + x.shape[-2:]) for x in (factors.u, factors.s, factors.v))
+    ua, p_hat, p_norm = _split_against_basis(u0, inc.a.reshape(len(u0), -1))
+    vb, q_hat, q_norm = _split_against_basis(v0, inc.b.reshape(len(u0), -1))
+    parts = [u0, s0, v0, np.reshape(core_scale, (-1, 1, 1)),
+             np.reshape(inc.weight * inc_scale, (-1, 1, 1)), ua, p_hat, p_norm, vb, q_hat, q_norm]
 
-    ua, p_hat, p_norm = _split_against_basis(u0, inc.a)
-    vb, q_hat, q_norm = _split_against_basis(v0, inc.b)
+    if p_norm.all() and q_norm.all():  # every slice has both directions
+        u1, s1, v1 = _combine_core(*parts)
+    else:  # the slices with both together, every other slice alone
+        parts[3:5] = [np.broadcast_to(x, (len(u0), 1, 1)) for x in parts[3:5]]
+        u1, s1, v1 = np.empty_like(u0), np.empty_like(s0), np.empty_like(v0)
+        both = (p_norm != 0.0) & (q_norm != 0.0)
+        for idx in filter(len, [np.flatnonzero(both)] + [[k] for k in np.flatnonzero(~both)]):
+            sub = [x[idx] for x in parts]
+            sub[6] = sub[6] if sub[7][0] != 0.0 else None
+            sub[9] = sub[9] if sub[10][0] != 0.0 else None
+            u1[idx], s1[idx], v1[idx] = _combine_core(*sub)
+    return LowRankFactors(u1.reshape(factors.u.shape), s1.reshape(factors.s.shape),
+                          v1.reshape(factors.v.shape))
 
-    left = np.append(ua, p_norm) if p_hat is not None else ua
-    right = np.append(vb, q_norm) if q_hat is not None else vb
 
-    core = np.zeros((left.shape[0], right.shape[0]))
-    core[:r, :r] = core_scale * s0
-    core += w * np.outer(left, right)
+def _combine_core(u0, s0, v0, core_scale, w, ua, p_hat, p_norm, vb, q_hat, q_norm):
+    """The combination for slices that all have (or lack: None) p_hat, q_hat."""
+    r = u0.shape[-1]
+    left = ua if p_hat is None else np.concatenate([ua, p_norm[:, None]], axis=1)
+    right = vb if q_hat is None else np.concatenate([vb, q_norm[:, None]], axis=1)
+    core = np.zeros((len(u0), left.shape[1], right.shape[1]))
+    core[:, :r, :r] = core_scale * s0
+    core += w * (left[:, :, None] * right[:, None, :])
+    uk, sk, vkt = _svd(core)
+    u_aug = u0 if p_hat is None else np.concatenate([u0, p_hat[:, :, None]], axis=2)
+    v_aug = v0 if q_hat is None else np.concatenate([v0, q_hat[:, :, None]], axis=2)
+    s1 = np.zeros((len(sk), r, r))
+    s1.reshape(len(sk), -1)[:, ::r + 1] = sk[:, :r]  # the diagonal
+    return u_aug @ uk[:, :, :r], s1, v_aug @ _t(vkt[:, :r, :])
 
-    uk, sk, vkt = np.linalg.svd(core, full_matrices=False)
 
-    u_aug = u0 if p_hat is None else np.hstack([u0, p_hat[:, None]])
-    v_aug = v0 if q_hat is None else np.hstack([v0, q_hat[:, None]])
-    u1 = u_aug @ uk[:, :r]
-    v1 = v_aug @ vkt[:r, :].T
-    return LowRankFactors(u1, np.diag(sk[:r]), v1)
+def _svd(core: np.ndarray):
+    """SVD of each core; one LAPACK cannot factor (non-finite) gives NaN."""
+    try:
+        return np.linalg.svd(core, full_matrices=False)
+    except np.linalg.LinAlgError:
+        if len(core) == 1:
+            return tuple(np.full_like(x, np.nan) for x in _svd(np.zeros_like(core)))
+        return tuple(map(np.concatenate, zip(*(_svd(c[None]) for c in core))))
 
 
 def _split_against_basis(basis: np.ndarray, vec: np.ndarray):
-    """Split vec into in-span coefficients and a unit residual direction.
-
-    Returns (coefficients, residual_direction, residual_norm); the direction
-    is None when the residual is negligible relative to vec (including the
-    full-rank case where no orthogonal direction exists).
-    """
-    coeff = basis.T @ vec
+    """Split each vec of a stack into in-span coefficients, a unit residual
+    direction and the residual norm; the norm is 0 (the direction moot) where
+    the residual is negligible, including where the basis spans the space."""
+    vec = vec[:, :, None]
+    coeff = _t(basis) @ vec
     resid = vec - basis @ coeff
     # One reorthogonalization pass keeps the augmented basis orthonormal.
-    correction = basis.T @ resid
+    correction = _t(basis) @ resid
     resid -= basis @ correction
     coeff += correction
-    norm = float(np.linalg.norm(resid))
-    if norm <= _SUBSPACE_TOL * max(1.0, float(np.linalg.norm(vec))):
-        return coeff, None, 0.0
-    if basis.shape[1] >= basis.shape[0]:
-        # Basis already spans the whole space; residual is round-off.
-        return coeff, None, 0.0
-    return coeff, resid / norm, norm
+    norm = np.sqrt(_t(resid) @ resid)[:, 0]
+    tol = _SUBSPACE_TOL * np.maximum(1.0, np.sqrt(_t(vec) @ vec)[:, 0])
+    # Where the basis spans the whole space the residual is round-off.
+    norm *= (norm > tol) & (basis.shape[2] < basis.shape[1])
+    return coeff[:, :, 0], resid[:, :, 0] / (norm + (norm == 0.0)), norm[:, 0]

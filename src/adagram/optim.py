@@ -1,4 +1,5 @@
-"""Optimizers behind a uniform step interface.
+"""Optimizers: one step rule per kind, for one cell or a stack of K cells
+of one kind (weights, gradients and state with a leading K axis).
 
 AdaGram preconditions the flattened gradient with the implicit inverse
 factor from :mod:`adagram.precond` (exact, projector-splitting, or
@@ -8,6 +9,7 @@ full-matrix AdaGrad, and Shampoo.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import math
 from dataclasses import dataclass
@@ -20,7 +22,6 @@ from .precond import (
     IntegratorVariant,
     PreconditionerState,
     apply_inverse,
-    preconditioned_direction,
     update_exact,
     update_integrator,
 )
@@ -33,7 +34,7 @@ _EIG_FLOOR = 1e-12
 
 
 class NonFiniteGradientError(ValueError):
-    """Gradient contained NaN or infinity."""
+    """Gradient or preconditioner contained NaN or infinity."""
 
 
 class OptimizerKind(str, enum.Enum):
@@ -79,14 +80,14 @@ class OptimizerConfig:
 
 @dataclass
 class ParamState:
-    """Weight matrix plus step counter; flattening is column-major."""
+    """Weight matrix (or stack) plus step counter; flattening is column-major."""
 
     weights: np.ndarray
     step: int = 0
 
     def __post_init__(self) -> None:
         self.weights = np.asarray(self.weights, dtype=float)
-        if self.weights.ndim != 2:
+        if self.weights.ndim not in (2, 3):
             raise ValueError(f"weights must be m x n, got shape {self.weights.shape}")
 
     @classmethod
@@ -94,7 +95,7 @@ class ParamState:
         return cls(np.zeros((m, n)))
 
     @property
-    def shape(self) -> tuple[int, int]:
+    def shape(self) -> tuple[int, ...]:
         return self.weights.shape
 
     def vec(self) -> np.ndarray:
@@ -102,41 +103,13 @@ class ParamState:
 
 
 def vec(w: np.ndarray) -> np.ndarray:
-    """Flatten an m x n matrix column-major."""
-    return np.asarray(w, dtype=float).ravel(order="F")
+    """Flatten an m x n matrix column-major (each matrix of a stack)."""
+    return np.asarray(w, dtype=float).swapaxes(-1, -2).reshape(np.shape(w)[:-2] + (-1,))
 
 
 def unvec(w: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     """Inverse of :func:`vec`."""
-    return np.asarray(w, dtype=float).reshape(shape, order="F")
-
-
-def _check_grad(params: ParamState, grad: np.ndarray) -> np.ndarray:
-    grad = np.asarray(grad, dtype=float)
-    if grad.shape != params.shape:
-        raise ValueError(
-            f"gradient shape {grad.shape} does not match weights {params.shape}"
-        )
-    if not np.isfinite(grad).all():
-        raise NonFiniteGradientError(
-            f"non-finite gradient at step {params.step + 1}"
-        )
-    return grad
-
-
-def sgd_step(params: ParamState, grad: np.ndarray,
-             cfg: OptimizerConfig) -> ParamState:
-    grad = _check_grad(params, grad)
-    return ParamState(params.weights - cfg.learning_rate * grad, params.step + 1)
-
-
-def adagrad_diag_step(params: ParamState, grad: np.ndarray, accum: np.ndarray,
-                      cfg: OptimizerConfig) -> ParamState:
-    """Per-coordinate accumulator update; accum starts at eps and is mutated."""
-    grad = _check_grad(params, grad)
-    accum += grad * grad
-    w = params.weights - cfg.learning_rate * grad / np.sqrt(accum)
-    return ParamState(w, params.step + 1)
+    return np.asarray(w, dtype=float).reshape(np.shape(w)[:-1] + shape[::-1]).swapaxes(-1, -2)
 
 
 @dataclass
@@ -146,33 +119,12 @@ class FullAdaGradState:
     gram: np.ndarray
 
     @classmethod
-    def init(cls, dim: int, eps: float) -> "FullAdaGradState":
+    def init(cls, dim: int, eps) -> "FullAdaGradState":
         if dim > FULL_MATRIX_CAP:
             raise ValueError(
                 f"full-matrix AdaGrad capped at {FULL_MATRIX_CAP} parameters, got {dim}"
             )
-        return cls(eps * np.eye(dim))
-
-
-def _sym_inv_power(mat: np.ndarray, power: float) -> np.ndarray:
-    """mat^power for symmetric PSD mat via eigendecomposition.
-
-    Eigenvalues are floored at _EIG_FLOOR before the fractional power.
-    """
-    lam, vecs = np.linalg.eigh(mat)
-    lam = np.maximum(lam, _EIG_FLOOR)
-    return (vecs * lam**power) @ vecs.T
-
-
-def adagrad_full_step(params: ParamState, grad: np.ndarray,
-                      state: FullAdaGradState, cfg: OptimizerConfig) -> ParamState:
-    """Accumulate G += g g^T, then step along G^{-1/2} g."""
-    grad = _check_grad(params, grad)
-    g = vec(grad)
-    state.gram += np.outer(g, g)
-    direction = _sym_inv_power(state.gram, -0.5) @ g
-    w = params.vec() - cfg.learning_rate * direction
-    return ParamState(unvec(w, params.shape), params.step + 1)
+        return cls(np.asarray(eps)[..., None, None] * np.eye(dim))
 
 
 @dataclass
@@ -183,17 +135,76 @@ class ShampooState:
     right: np.ndarray
 
     @classmethod
-    def init(cls, m: int, n: int, eps: float) -> "ShampooState":
+    def init(cls, m: int, n: int, eps) -> "ShampooState":
+        eps = np.asarray(eps)[..., None, None]
         return cls(eps * np.eye(m), eps * np.eye(n))
+
+
+def _sym_inv_power(mat: np.ndarray, power: float) -> np.ndarray:
+    """mat^power for symmetric PSD mat (or a stack) via eigendecomposition.
+
+    Eigenvalues are floored at _EIG_FLOOR before the fractional power.
+    """
+    lam, vecs = np.linalg.eigh(mat)
+    lam = np.maximum(lam, _EIG_FLOOR)
+    return (vecs * lam[..., None, :]**power) @ vecs.swapaxes(-1, -2)
+
+
+def _step(params: ParamState, grad: np.ndarray, rule) -> ParamState:
+    """Step by ``rule(weights, finite gradient) -> (weights, state went
+    non-finite)``.  One cell raises NonFiniteGradientError where a stacked
+    cell gets NaN weights, and the other cells step as if it were not there."""
+    grad = np.asarray(grad, dtype=float)
+    if grad.shape != params.shape:
+        raise ValueError(f"gradient shape {grad.shape} does not match weights {params.shape}")
+    bad = ~np.isfinite(grad).all(axis=(-2, -1))
+    if bad.any():
+        if not bad.ndim:
+            raise NonFiniteGradientError(f"non-finite gradient at step {params.step + 1}")
+        grad = np.where(bad[:, None, None], 0.0, grad)
+    w, bad_state = rule(params.weights, grad)
+    bad = bad | bad_state
+    if bad.any():
+        if not bad.ndim:
+            raise NonFiniteGradientError(f"non-finite preconditioner at step {params.step + 1}")
+        w[bad] = np.nan
+    return ParamState(w, params.step + 1)
+
+
+# Each step rule takes one config, or an Optimizer stepping a stack (an lr per cell).
+
+def sgd_step(params: ParamState, grad: np.ndarray, cfg: OptimizerConfig) -> ParamState:
+    return _step(params, grad, lambda w, g: (w - cfg.learning_rate * g, False))
+
+
+def adagrad_diag_step(params: ParamState, grad: np.ndarray, accum: np.ndarray,
+                      cfg: OptimizerConfig) -> ParamState:
+    """Per-coordinate accumulator update; accum starts at eps and is mutated."""
+    def rule(w, g):
+        accum[...] += g * g
+        return w - cfg.learning_rate * g / np.sqrt(accum), False
+    return _step(params, grad, rule)
+
+
+def adagrad_full_step(params: ParamState, grad: np.ndarray,
+                      state: FullAdaGradState, cfg: OptimizerConfig) -> ParamState:
+    """Accumulate G += g g^T, then step along G^{-1/2} g."""
+    def rule(w, g):
+        gv = vec(g)
+        state.gram += gv[..., :, None] * gv[..., None, :]
+        direction = (_sym_inv_power(state.gram, -0.5) @ gv[..., None])[..., 0]
+        return w - cfg.learning_rate * unvec(direction, w.shape[-2:]), False
+    return _step(params, grad, rule)
 
 
 def shampoo_step(params: ParamState, grad: np.ndarray, state: ShampooState,
                  cfg: OptimizerConfig) -> ParamState:
-    grad = _check_grad(params, grad)
-    state.left += grad @ grad.T
-    state.right += grad.T @ grad
-    delta = _sym_inv_power(state.left, -0.25) @ grad @ _sym_inv_power(state.right, -0.25)
-    return ParamState(params.weights - cfg.learning_rate * delta, params.step + 1)
+    def rule(w, g):
+        state.left += g @ g.swapaxes(-1, -2)
+        state.right += g.swapaxes(-1, -2) @ g
+        delta = _sym_inv_power(state.left, -0.25) @ g @ _sym_inv_power(state.right, -0.25)
+        return w - cfg.learning_rate * delta, False
+    return _step(params, grad, rule)
 
 
 def adagram_step(params: ParamState, grad: np.ndarray,
@@ -204,94 +215,88 @@ def adagram_step(params: ParamState, grad: np.ndarray,
     preconditioner absorbs it, and the parameter write uses the rescaled
     direction gbar / sqrt(1 + ||gbar||^2) (equivalent to stepping with the
     post-update inverse factor).  A transformed gradient whose squared
-    norm overflows raises NonFiniteGradientError before any state update.
+    norm overflows, or factors that turn non-finite, are divergence.
     """
-    grad = _check_grad(params, grad)
-    g = vec(grad)
-    gbar = apply_inverse(state, g)
-    if not math.isfinite(float(gbar @ gbar)):
-        raise NonFiniteGradientError(
-            f"non-finite preconditioned gradient at step {params.step + 1}"
-        )
-    if isinstance(state, ExactPQState):
-        update_exact(state, gbar)
-    else:
-        update_integrator(state, gbar)
-    w = params.vec() - cfg.learning_rate * preconditioned_direction(gbar)
-    return ParamState(unvec(w, params.shape), params.step + 1)
-
-
-class Optimizer:
-    """Uniform step interface; subclasses own their accumulator state."""
-
-    def __init__(self, cfg: OptimizerConfig, shape: tuple[int, int]):
-        self.cfg = cfg
-        self.shape = shape
-
-    def step(self, params: ParamState, grad: np.ndarray) -> ParamState:
-        raise NotImplementedError
-
-
-class Sgd(Optimizer):
-    def step(self, params, grad):
-        return sgd_step(params, grad, self.cfg)
-
-
-class AdaGradDiag(Optimizer):
-    def __init__(self, cfg, shape):
-        super().__init__(cfg, shape)
-        self.accum = np.full(shape, cfg.eps)
-
-    def step(self, params, grad):
-        return adagrad_diag_step(params, grad, self.accum, self.cfg)
-
-
-class AdaGradFull(Optimizer):
-    def __init__(self, cfg, shape):
-        super().__init__(cfg, shape)
-        self.state = FullAdaGradState.init(shape[0] * shape[1], cfg.eps)
-
-    def step(self, params, grad):
-        return adagrad_full_step(params, grad, self.state, self.cfg)
-
-
-class Shampoo(Optimizer):
-    def __init__(self, cfg, shape):
-        super().__init__(cfg, shape)
-        self.state = ShampooState.init(shape[0], shape[1], cfg.eps)
-
-    def step(self, params, grad):
-        return shampoo_step(params, grad, self.state, self.cfg)
-
-
-class AdaGram(Optimizer):
-    def __init__(self, cfg, shape):
-        super().__init__(cfg, shape)
-        dim = shape[0] * shape[1]
-        if cfg.kind is OptimizerKind.ADAGRAM_EXACT:
-            self.state: PreconditionerState = ExactPQState(dim, cfg.eps)
+    def rule(w, g):
+        gbar = apply_inverse(state, vec(g))
+        norm_sq = (gbar[..., None, :] @ gbar[..., :, None])[..., 0]
+        bad = ~np.isfinite(norm_sq[..., 0])
+        if bad.any():  # ||gbar||^2 overflowed: that cell has diverged
+            gbar[bad] = 0.0
+        if isinstance(state, ExactPQState):
+            update_exact(state, gbar)
         else:
-            variant = (IntegratorVariant.PROJECTOR_SPLITTING
-                       if cfg.kind is OptimizerKind.ADAGRAM_PS
-                       else IntegratorVariant.TRUNCATED_SVD)
-            # Rank above the parameter count buys nothing; clamp it.
-            rank = min(cfg.rank, dim)
-            self.state = IntegratorState(dim, cfg.eps, rank, variant, cfg.mu)
+            update_integrator(state, gbar)
+            # The core is non-finite whenever a factor is: both factorizations'
+            # triangular factors are whenever their panels are.
+            bad = bad | ~np.isfinite(state.factors.s).all(axis=(-2, -1))
+        # preconditioned_direction(gbar), with the norm at hand
+        direction = unvec(gbar / np.sqrt(1.0 + norm_sq), w.shape[-2:])
+        return w - cfg.learning_rate * direction, bad
+    return _step(params, grad, rule)
 
-    def step(self, params, grad):
-        return adagram_step(params, grad, self.state, self.cfg)
 
-
-_BUILDERS = {
-    OptimizerKind.SGD: Sgd,
-    OptimizerKind.ADAGRAD_DIAG: AdaGradDiag,
-    OptimizerKind.ADAGRAD_FULL: AdaGradFull,
-    OptimizerKind.SHAMPOO: Shampoo,
-    OptimizerKind.ADAGRAM_EXACT: AdaGram,
-    OptimizerKind.ADAGRAM_PS: AdaGram,
-    OptimizerKind.ADAGRAM_FR: AdaGram,
+STEP_RULES = {
+    OptimizerKind.SGD: lambda params, grad, state, cfg: sgd_step(params, grad, cfg),
+    OptimizerKind.ADAGRAD_DIAG: adagrad_diag_step,
+    OptimizerKind.ADAGRAD_FULL: adagrad_full_step,
+    OptimizerKind.SHAMPOO: shampoo_step,
+    **dict.fromkeys(ADAGRAM_KINDS, adagram_step),
 }
 
 
-def make_optimizer(cfg: OptimizerConfig, shape: tuple[int, int]) -> Optimizer:
-    return _BUILDERS[cfg.kind](cfg, shape)
+def _init_state(kind: OptimizerKind, shape: tuple[int, int], eps, rank: int, mu):
+    """The state (sgd: None) for m x n weights: a cell's, or a stack's from K eps and mu."""
+    dim, eps = shape[0] * shape[1], np.asarray(eps)
+    if kind is OptimizerKind.ADAGRAD_DIAG:
+        return eps[..., None, None] * np.ones(shape)
+    if kind is OptimizerKind.ADAGRAD_FULL:
+        return FullAdaGradState.init(dim, eps)
+    if kind is OptimizerKind.SHAMPOO:
+        return ShampooState.init(*shape, eps)
+    if kind is OptimizerKind.ADAGRAM_EXACT:
+        return ExactPQState(dim, eps)
+    if kind in ADAGRAM_KINDS:
+        variant = (IntegratorVariant.PROJECTOR_SPLITTING if kind is OptimizerKind.ADAGRAM_PS
+                   else IntegratorVariant.TRUNCATED_SVD)
+        # Rank above the parameter count buys nothing; clamp it.
+        return IntegratorState(dim, eps, min(rank, dim), variant, mu)
+
+
+class Optimizer:
+    """The step rule of one kind and its state.  From one config it steps
+    m x n weights, the K = 1 view of the code that steps (K, m, n) weights
+    from a list of K configs of one kind and rank."""
+
+    def __init__(self, cfg: OptimizerConfig | list[OptimizerConfig],
+                 shape: tuple[int, int]):
+        self.cfg, self.shape = cfg, shape
+        cfgs = cfg if isinstance(cfg, list) else [cfg]
+        if len({(c.kind, c.rank) for c in cfgs}) != 1:
+            raise ValueError("a stack of cells shares one kind and rank")
+        self.rule = STEP_RULES[cfgs[0].kind]
+        if isinstance(cfg, list):
+            self.learning_rate = np.array([c.learning_rate for c in cfgs])[:, None, None]
+            eps, mu = np.array([c.eps for c in cfgs]), [c.mu for c in cfgs]
+        else:
+            self.learning_rate, eps, mu = cfg.learning_rate, cfg.eps, cfg.mu
+        self.state = _init_state(cfgs[0].kind, shape, eps, cfgs[0].rank, mu)
+
+    def step(self, params: ParamState, grad: np.ndarray) -> ParamState:
+        return self.rule(params, grad, self.state, self)
+
+    def select(self, keep: np.ndarray) -> None:
+        self.learning_rate = self.learning_rate[keep]
+        state = self.state
+        if isinstance(state, np.ndarray):
+            self.state = state[keep]
+        elif dataclasses.is_dataclass(state):
+            self.state = type(state)(*(getattr(state, f.name)[keep]
+                                       for f in dataclasses.fields(state)))
+        elif state is not None:
+            self.state = state.select(keep)
+
+
+def make_optimizer(cfg: OptimizerConfig | list[OptimizerConfig],
+                   shape: tuple[int, int]) -> Optimizer:
+    return Optimizer(cfg, shape)

@@ -13,6 +13,9 @@ factorization advanced per step by either a projector-splitting step or a
 truncated incremental SVD, exact while the accumulated matrix fits the
 rank budget.  Both apply the inverse in O(n t) / O(n r) without forming
 any n x n matrix.
+
+K values of eps (and mu) make a stack of K preconditioners, for (K, n)
+gradients.
 """
 
 from __future__ import annotations
@@ -35,20 +38,19 @@ class PreconditionerBudgetError(RuntimeError):
     """Raised when the exact backend would exceed its memory budget."""
 
 
-def alpha_of(norm_sq: float) -> float:
+def alpha_of(norm_sq):
     """Symmetric-factorization coefficient: 1 + alpha * s = sqrt(1 + s).
 
     Evaluated as 1 / (sqrt(1 + s) + 1), which is algebraically identical to
     (sqrt(1 + s) - 1) / s but free of cancellation for small s, and yields
-    the analytic limit 1/2 at s = 0.
+    the analytic limit 1/2 at s = 0.  Elementwise on an array.
     """
-    norm_sq = float(norm_sq)
-    if not math.isfinite(norm_sq) or norm_sq < 0.0:
+    if not (np.isfinite(norm_sq) & (norm_sq >= 0.0)).all():
         raise ValueError(f"squared norm must be finite and >= 0, got {norm_sq}")
-    return 1.0 / (math.sqrt(1.0 + norm_sq) + 1.0)
+    return 1.0 / (np.sqrt(1.0 + norm_sq) + 1.0)
 
 
-def beta_of(alpha: float, norm_sq: float) -> float:
+def beta_of(alpha, norm_sq):
     """Rank-1 inverse-update coefficient: beta = alpha / (1 + alpha * s)."""
     return alpha / (1.0 + alpha * norm_sq)
 
@@ -58,11 +60,13 @@ class IntegratorVariant(enum.Enum):
     TRUNCATED_SVD = "truncated_svd"
 
 
-def _check_eps_dim(dim: int, eps: float) -> None:
+def _check_eps_dim(dim: int, eps) -> np.ndarray:
     if dim < 1:
         raise ValueError(f"dimension must be >= 1, got {dim}")
-    if not (math.isfinite(eps) and eps > 0.0):
+    eps = np.asarray(eps, dtype=float)
+    if eps.ndim > 1 or not (np.isfinite(eps) & (eps > 0.0)).all():
         raise ValueError(f"eps must be finite and > 0, got {eps}")
+    return eps
 
 
 class ExactPQState:
@@ -75,41 +79,49 @@ class ExactPQState:
 
     max_values = 10_000_000
 
-    def __init__(self, dim: int, eps: float, max_values: int = max_values):
-        _check_eps_dim(dim, eps)
-        self.eps = float(eps)
-        self.p = np.zeros((dim, 0))
-        self.q = np.zeros((dim, 0))
+    def __init__(self, dim: int, eps, max_values: int = max_values):
+        self.eps = _check_eps_dim(dim, eps)
+        self.p = np.zeros(self.eps.shape + (dim, 0))
+        self.q = np.zeros(self.eps.shape + (dim, 0))
         self.max_values = int(max_values)
 
     @property
     def dim(self) -> int:
-        return self.p.shape[0]
+        return self.p.shape[-2]
 
     @property
     def t(self) -> int:
-        return self.p.shape[1]
+        return self.p.shape[-1]
+
+    def select(self, keep) -> "ExactPQState":
+        self.eps, self.p, self.q = self.eps[keep], self.p[keep], self.q[keep]
+        return self
 
 
 class IntegratorState:
     """Low-rank backend: P_t Q_t^T compressed to rank-``rank`` factors."""
 
-    def __init__(self, dim: int, eps: float, rank: int,
+    def __init__(self, dim: int, eps, rank: int,
                  variant: IntegratorVariant = IntegratorVariant.PROJECTOR_SPLITTING,
-                 mu: float | None = None):
-        _check_eps_dim(dim, eps)
-        if mu is not None and not 0.0 <= mu <= 1.0:
+                 mu=None):
+        self.eps = _check_eps_dim(dim, eps)
+        mus = list(mu) if self.eps.ndim else [mu]
+        if any(x is not None and not 0.0 <= x <= 1.0 for x in mus):
             raise ValueError(f"mu must lie in [0, 1], got {mu}")
-        self.eps = float(eps)
-        self.factors = zero_factors(dim, rank)
-        self.rank = self.factors.rank
-        self.variant = variant
-        self.mu = mu
-        self.t = 0
+        # History and increment weights: (mu, 1 - mu), or (1, 1) without mu.
+        self.hist = np.reshape([1.0 if x is None else x for x in mus], self.eps.shape)
+        self.inc = np.reshape([1.0 if x is None else 1.0 - x for x in mus], self.eps.shape)
+        self.factors = zero_factors(dim, rank, self.eps.shape)
+        self.rank, self.variant, self.t = self.factors.rank, variant, 0
 
     @property
     def dim(self) -> int:
         return self.factors.dim
+
+    def select(self, keep) -> "IntegratorState":
+        self.eps, self.hist, self.inc = self.eps[keep], self.hist[keep], self.inc[keep]
+        self.factors = self.factors.take(keep)
+        return self
 
 
 PreconditionerState = ExactPQState | IntegratorState
@@ -117,7 +129,7 @@ PreconditionerState = ExactPQState | IntegratorState
 
 def _check_vector(state: PreconditionerState, g: np.ndarray) -> np.ndarray:
     g = np.asarray(g, dtype=float)
-    if g.ndim != 1 or g.shape[0] != state.dim:
+    if g.shape != state.eps.shape + (state.dim,):
         raise ValueError(
             f"gradient has shape {g.shape}, preconditioner dimension is {state.dim}"
         )
@@ -127,11 +139,11 @@ def _check_vector(state: PreconditionerState, g: np.ndarray) -> np.ndarray:
 def apply_inverse(state: PreconditionerState, g: np.ndarray) -> np.ndarray:
     """Transformed gradient (I - P Q^T) g / sqrt(eps), cost O(n t) or O(n r)."""
     g = _check_vector(state, g)
-    y = g / math.sqrt(state.eps)
+    y = g / np.sqrt(state.eps)[..., None]
     if isinstance(state, ExactPQState):
         if state.t == 0:
             return y
-        return y - state.p @ (state.q.T @ y)
+        return y - (state.p @ (state.q.swapaxes(-1, -2) @ y[..., None]))[..., 0]
     return y - state.factors.apply(y)
 
 
@@ -140,10 +152,10 @@ def preconditioned_direction(gbar: np.ndarray) -> np.ndarray:
 
     Returns gbar / sqrt(1 + ||gbar||^2), the inverse-factor image of the
     raw gradient under the post-update preconditioner, without touching
-    state.  Strictly norm-contracting unless gbar = 0.
+    state.  Strictly norm-contracting unless gbar = 0.  Row by row.
     """
     gbar = np.asarray(gbar, dtype=float)
-    return gbar / math.sqrt(1.0 + float(gbar @ gbar))
+    return gbar / np.sqrt(1.0 + (gbar[..., None, :] @ gbar[..., :, None])[..., 0])
 
 
 def check_exact_budget(steps: int, dim: int,
@@ -163,11 +175,11 @@ def update_exact(state: ExactPQState, gbar: np.ndarray) -> ExactPQState:
     """
     gbar = _check_vector(state, gbar)
     check_exact_budget(state.t + 1, state.dim, state.max_values)
-    norm_sq = float(gbar @ gbar)
+    norm_sq = (gbar[..., None, :] @ gbar[..., :, None])[..., 0, 0]
     beta = beta_of(alpha_of(norm_sq), norm_sq)
-    q_col = gbar - state.q @ (state.p.T @ gbar)
-    state.p = np.hstack([state.p, beta * gbar[:, None]])
-    state.q = np.hstack([state.q, q_col[:, None]])
+    q_col = gbar - (state.q @ (state.p.swapaxes(-1, -2) @ gbar[..., None]))[..., 0]
+    state.p = np.concatenate([state.p, (beta[..., None] * gbar)[..., None]], axis=-1)
+    state.q = np.concatenate([state.q, q_col[..., None]], axis=-1)
     return state
 
 
@@ -177,30 +189,33 @@ def update_integrator(state: IntegratorState, gbar: np.ndarray) -> IntegratorSta
     The increment dA = beta * gbar (gbar^T (I - U S V^T)) is kept factored:
     a = gbar, b = gbar - V S^T U^T gbar, weight = beta.  With a memory
     weight mu the represented matrix becomes mu * A + (1 - mu) * dA;
-    without one the increment accumulates unweighted.
+    without one the increment accumulates unweighted.  gbar must be finite.
     """
-    if state.mu == 1.0:  # mu * A + 0 * dA is A: the factors stay as built
-        state.t += 1
-        return state
     gbar = _check_vector(state, gbar)
-    norm_sq = float(gbar @ gbar)
+    factors, hist, inc_scale = state.factors, state.hist, state.inc
+    # mu = 1 keeps mu * A + 0 * dA = A: those factors stay as built.
+    live = np.flatnonzero(inc_scale)
+    some = live.size < inc_scale.size
+    if some:
+        if not live.size:
+            state.t += 1
+            return state
+        factors, gbar = factors.take(live), gbar[live]
+        hist, inc_scale = hist[live], inc_scale[live]
+    norm_sq = (gbar[..., None, :] @ gbar[..., :, None])[..., 0, 0]
     beta = beta_of(alpha_of(norm_sq), norm_sq)
-    b = gbar - state.factors.apply_transpose(gbar)
-    inc = RankOneIncrement(gbar, b, beta)
-
-    if state.mu is None:
-        hist_scale, inc_scale = 1.0, 1.0
-    else:
-        hist_scale, inc_scale = state.mu, 1.0 - state.mu
+    b = gbar - factors.apply_transpose(gbar)
 
     if state.variant is IntegratorVariant.PROJECTOR_SPLITTING:
-        factors = state.factors
-        if hist_scale != 1.0:
-            factors = LowRankFactors(factors.u, hist_scale * factors.s, factors.v)
-        if inc_scale != 1.0:
-            inc = RankOneIncrement(inc.a, inc.b, inc.weight * inc_scale)
-        state.factors = projector_splitting_step(factors, inc)
+        scaled = LowRankFactors(factors.u, hist[..., None, None] * factors.s, factors.v)
+        new = projector_splitting_step(scaled, RankOneIncrement.trusted(gbar, b, beta * inc_scale))
     else:
-        state.factors = rank_one_svd_combine(state.factors, inc, hist_scale, inc_scale)
+        new = rank_one_svd_combine(factors, RankOneIncrement.trusted(gbar, b, beta),
+                                   hist, inc_scale)
+    if some:
+        f = state.factors
+        f.u[live], f.s[live], f.v[live] = new.u, new.s, new.v
+    else:
+        state.factors = new
     state.t += 1
     return state

@@ -204,14 +204,35 @@ class TestPreparedData:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_grid_cell_matches_run_alone(self, workers):
+        # lr = 1e308 diverges at the first step, so each stack shrinks.
         base = make_cfg(kind=OptimizerKind.ADAGRAM_PS, epochs=2, dataset="synthetic:dense")
-        space = {"learning_rate": [0.1, 1.0], "rank": [1, 3], "mu": [0.9, 1.0],
+        space = {"learning_rate": [0.1, 1.0, 1e308], "rank": [1, 3], "mu": [0.9, 1.0],
                  "batch_size": [16, 64]}
         result = grid_search(space, base, max_workers=workers)
-        assert len(result.entries) == 16
+        assert len(result.entries) == 24
+        assert sum(r.diverged for _, r in result.entries) == 8
         for cfg, record in result.entries:
             assert rows_without_wall_clock(record) == \
                 rows_without_wall_clock(run_experiment(cfg))
+
+    def test_one_gradient_call_per_stack_step(self, monkeypatch):
+        calls = []
+        real_gradient = bench_mod.glm.gradient
+        monkeypatch.setattr(bench_mod.glm, "gradient",
+                            lambda *a: calls.append(a) or real_gradient(*a))
+        base = make_cfg(kind=OptimizerKind.ADAGRAM_FR, epochs=2, dataset="synthetic:dense")
+        space = {"learning_rate": [0.1, 1.0], "eps": [1e-2, 1.0], "mu": [0.9, 1.0],
+                 "rank": [1, 2], "batch_size": [16, 64]}
+        result = grid_search(space, base)
+        assert len(result.entries) == 32
+        # 160 training rows: 10 steps per epoch at batch 16, 3 at batch 64;
+        # one stack per (batch size, rank).
+        assert len(calls) == 2 * 2 * (10 + 3)
+
+    def test_stack_of_unlike_cells_refused(self):
+        a, b = make_cfg(batch_size=16), make_cfg(batch_size=64)
+        with pytest.raises(ConfigError, match="stack"):
+            bench_mod.run_stack([a, b], bench_mod._prepare(a))
 
     def test_mu_one_trace_independent_of_kind_and_rank(self):
         # At mu = 1 the preconditioner stays eps * I, so the step is
@@ -384,6 +405,28 @@ class TestCli:
         # eps = 1e-310 makes ||gbar||^2 overflow at the first step.
         code = cli_main([
             "--dataset", "synthetic:dense", "--optimizer", kind, "--eps", "1e-310",
+            "--epochs", "2", "--n-features", "4", "--n-samples", "50",
+        ])
+        assert code == 3
+        assert "diverged after 0 epochs" in capsys.readouterr().err
+
+    def test_non_finite_factors_are_divergence(self, monkeypatch, capsys):
+        # 40 training rows at batch 32: the factors turn NaN at the second
+        # step, the last of epoch 1, so that epoch must not be recorded.
+        real_step = precond_mod.projector_splitting_step
+        calls = []
+
+        def nan_at_second_step(factors, inc):
+            calls.append(inc)
+            out = real_step(factors, inc)
+            if len(calls) == 2:
+                for a in (out.u, out.s, out.v):
+                    a[...] = np.nan
+            return out
+
+        monkeypatch.setattr(precond_mod, "projector_splitting_step", nan_at_second_step)
+        code = cli_main([
+            "--dataset", "synthetic:dense", "--optimizer", "adagram_ps",
             "--epochs", "2", "--n-features", "4", "--n-samples", "50",
         ])
         assert code == 3

@@ -170,6 +170,20 @@ class TestHelpers:
         z = np.array([-800.0, 0.0, 800.0])
         np.testing.assert_allclose(sigmoid(z), [0.0, 0.5, 1.0], atol=1e-15)
 
+    def test_sigmoid_equals_masked_formula_bitwise(self):
+        # The boolean-mask form: 1 / (1 + exp(-z)) for z >= 0, else
+        # exp(z) / (1 + exp(z)).
+        rng = np.random.default_rng(3)
+        special = [0.0, -0.0, 40.0, -40.0, 800.0, -800.0, np.inf, -np.inf]
+        z = np.concatenate([rng.standard_normal(100_000) * 20.0, special])
+        ref = np.empty_like(z)
+        pos = z >= 0
+        ref[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+        ez = np.exp(z[~pos])
+        ref[~pos] = ez / (1.0 + ez)
+        assert sigmoid(z).tobytes() == ref.tobytes()
+        assert np.isnan(sigmoid(np.array([np.nan]))).all()
+
     def test_predict_and_accuracy(self):
         model = binary_model([1.0, 0.0])
         x = np.array([[2.0, 0.0], [-3.0, 1.0]])
@@ -204,3 +218,17 @@ class TestHelpers:
         bad = Batch(np.ones((2, 1)), np.array([0, 2]))
         with pytest.raises(ValueError, match="out of range"):
             gradient(binary_model([1.0]), bad.rows(np.array([0, 1])))
+
+
+@pytest.mark.parametrize("link,m", [(Link.SIGMOID, 1), (Link.SOFTMAX, 3)])
+def test_stacked_models_match_each_model_alone(link, m):
+    rng = np.random.default_rng(4)
+    batch = Batch(rng.standard_normal((20, 5)), rng.integers(0, 2 if m == 1 else m, 20))
+    thetas = rng.standard_normal((4, m, 5))
+    stacked = GlmModel(thetas, link)
+    alone = [GlmModel(t, link) for t in thetas]
+    assert gradient(stacked, batch).tobytes() == \
+        np.stack([gradient(a, batch) for a in alone]).tobytes()
+    assert loss(stacked, batch).tolist() == [loss(a, batch) for a in alone]
+    assert accuracy(stacked, batch.x, batch.y).tolist() == \
+        [accuracy(a, batch.x, batch.y) for a in alone]
