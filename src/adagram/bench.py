@@ -37,6 +37,7 @@ from .data import (
 )
 from .optim import (
     ADAGRAM_KINDS,
+    FULL_MATRIX_CAP,
     OptimizerConfig,
     OptimizerKind,
     ParamState,
@@ -311,9 +312,32 @@ def _prepare(cfg: ExperimentConfig):
 def _check_budget(cfg: ExperimentConfig, data) -> None:
     """Refuse an exact-backend run that would overrun its budget."""
     if cfg.optimizer.kind is OptimizerKind.ADAGRAM_EXACT:
-        x_train, _, _, _, m, _ = data
-        steps = cfg.epochs * math.ceil(x_train.shape[0] / cfg.batch_size)
-        precond.check_exact_budget(steps, m * x_train.shape[1])
+        precond.check_exact_budget(_steps(cfg, data), data[4] * data[0].shape[1])
+
+
+def _steps(cfg: ExperimentConfig, data) -> int:
+    return cfg.epochs * math.ceil(data[0].shape[0] / cfg.batch_size)
+
+
+def _stacks(configs: list[ExperimentConfig], data) -> list[list[ExperimentConfig]]:
+    """The cells with one batch size and rank, in stacks whose dense states
+    together stay within one cell's budget: the exact backend's ``max_values``
+    for P and Q, FULL_MATRIX_CAP**2 for a full-matrix or Shampoo accumulator."""
+    groups: dict = {}
+    for cfg in configs:
+        groups.setdefault((cfg.batch_size, cfg.optimizer.rank), []).append(cfg)
+    m, n = data[4], data[0].shape[1]
+    stacks = []
+    for cells in groups.values():
+        kind = cells[0].optimizer.kind
+        values = {OptimizerKind.ADAGRAM_EXACT: 2 * m * n * _steps(cells[0], data),
+                  OptimizerKind.ADAGRAD_FULL: (m * n) ** 2,
+                  OptimizerKind.SHAMPOO: m * m + n * n}.get(kind)
+        budget = (precond.ExactPQState.max_values if kind is OptimizerKind.ADAGRAM_EXACT
+                  else FULL_MATRIX_CAP**2)
+        size = len(cells) if values is None else max(1, budget // values)
+        stacks += [cells[i:i + size] for i in range(0, len(cells), size)]
+    return stacks
 
 
 def _init_weights(cfg: ExperimentConfig, m: int, n: int) -> np.ndarray:
@@ -447,22 +471,19 @@ def grid_search(space: dict, base: ExperimentConfig,
                 max_workers: int = 1) -> GridResult:
     """Train every cell and select the best.  The cells with one batch size
     and rank share a minibatch stream (the shuffle depends on the seed
-    alone) and train as one stack; workers split the grid by stacks."""
+    alone) and train in stacks (``_stacks``); workers split the grid by stacks."""
     configs = expand_grid(space, base)
     data = _prepare(base)  # no grid axis changes the data
     for cfg in configs:
         _check_budget(cfg, data)
-    stacks: dict = {}
-    for cfg in configs:
-        stacks.setdefault((cfg.batch_size, cfg.optimizer.rank), []).append(cfg)
+    stacks = _stacks(configs, data)
     run = functools.partial(run_stack, data=data)
     if max_workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(run, stacks.values()))
+            results = list(pool.map(run, stacks))
     else:
-        results = [run(cells) for cells in stacks.values()]
-    record = {id(c): r for cells, recs in zip(stacks.values(), results)
-              for c, r in zip(cells, recs)}
+        results = [run(cells) for cells in stacks]
+    record = {id(c): r for cells, recs in zip(stacks, results) for c, r in zip(cells, recs)}
     entries = [(cfg, record[id(cfg)]) for cfg in configs]
     best = select_best(entries)
     return GridResult(entries[best][0], entries[best][1], entries)

@@ -12,6 +12,8 @@ fallback and the degenerate truncated-SVD branch run slice by slice.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,11 +56,16 @@ class LowRankFactors:
         return LowRankFactors(self.u[idx], self.s[idx], self.v[idx])
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """A @ x without forming A, cost O(n r)."""
+        """A @ x without forming A, cost O(n r).  A vector is multiplied as
+        a column of a stack is, by the same BLAS calls."""
+        if x.ndim == 1:
+            return self.u @ (self.s @ (self.v.T @ x))
         return (self.u @ (self.s @ (_t(self.v) @ x[..., None])))[..., 0]
 
     def apply_transpose(self, x: np.ndarray) -> np.ndarray:
         """A.T @ x without forming A, cost O(n r)."""
+        if x.ndim == 1:
+            return self.v @ (self.s.T @ (self.u.T @ x))
         return (self.v @ (_t(self.s) @ (_t(self.u) @ x[..., None])))[..., 0]
 
     def materialize(self) -> np.ndarray:
@@ -127,12 +134,23 @@ def orthogonal_factorization(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if m.ndim not in (2, 3) or m.shape[-2] < m.shape[-1]:
         raise ValueError(f"expected tall n x r matrices, got shape {m.shape}")
     q, r, failed = _cholesky_qr2(m)
+    if q is None:  # every panel falls back; r is laid out as CholeskyQR2's is, so
+        # later products make the same BLAS calls whichever panels fell back
+        q, r = np.empty_like(m), _t(np.empty(m.shape[:-2] + 2 * m.shape[-1:]))
     for k in failed:  # Householder QR, signs flipped to diag(r) >= 0
         q[k], r[k] = np.linalg.qr(m[k])
         flip = np.diag(r[k]) < 0.0
         q[k][:, flip] *= -1.0
         r[k][flip, :] *= -1.0
     return q, r
+
+
+@functools.cache
+def _eye(r: int) -> np.ndarray:
+    """The r x r identity, built once per size: np.eye costs more than its use."""
+    eye = np.eye(r)
+    eye.flags.writeable = False
+    return eye
 
 
 def _each(lapack, mats: np.ndarray, *flags) -> tuple[np.ndarray, list]:
@@ -157,24 +175,27 @@ def _cholesky_qr2(m: np.ndarray):
     from the first inversion is wiped out by the second pass.  Both
     Cholesky diagonals are positive, so the returned r needs no sign fix.
     """
-    low1, failed1 = _each(_dpotrf, _t(m) @ m, 1, 1)  # lower, clean
-    if len(failed1) == np.prod(m.shape[:-2], dtype=int):  # every panel falls back
-        return np.empty_like(m), np.empty(m.shape[:-2] + 2 * m.shape[-1:]), failed1
-    for k in failed1:  # keep the discarded work on such a panel cheap and finite
-        low1[k] = np.eye(m.shape[-1])
+    low1, failed = _each(_dpotrf, _t(m) @ m, 1, 1)  # lower, clean
+    panels = math.prod(m.shape[:-2])
+    if len(failed) == panels:
+        return None, None, failed
+    for k in failed:  # keep the discarded work on such a panel cheap and finite
+        low1[k] = _eye(m.shape[-1])
     inv1, failed2 = _each(_dtrtri, low1, 1)  # lower
+    failed += failed2  # a repeat redoes a fallback
     q1 = m @ _t(inv1)
     gram2 = _t(q1) @ q1
     # Pass one must land near orthonormal for pass two to certify eps-level
     # orthogonality; otherwise the panel is too ill-conditioned.  The
     # comparison is also false for a non-finite gram2.
-    deviation = np.abs(gram2 - np.eye(m.shape[-1]))
-    low2, failed3 = _each(_dpotrf, gram2, 1, 1)
-    inv2, failed4 = _each(_dtrtri, low2, 1)
-    failed = failed1 + failed2 + failed3 + failed4  # a repeat redoes a fallback
+    deviation = np.abs(gram2 - _eye(m.shape[-1]))
     if not deviation.max() <= 1e-3:
         failed += map(tuple, np.argwhere(~(deviation.max(axis=(-2, -1)) <= 1e-3)).tolist())
-    return q1 @ _t(inv2), _t(low1 @ low2), failed
+        if len(set(failed)) == panels:
+            return None, None, failed
+    low2, failed3 = _each(_dpotrf, gram2, 1, 1)
+    inv2, failed4 = _each(_dtrtri, low2, 1)
+    return q1 @ _t(inv2), _t(low1 @ low2), failed + failed3 + failed4
 
 
 def _check_increment(factors: LowRankFactors, inc: RankOneIncrement) -> None:
@@ -202,7 +223,9 @@ def projector_splitting_step(factors: LowRankFactors,
     """
     _check_increment(factors, inc)
     u0, s0, v0 = factors.u, factors.s, factors.v
-    a, b, weight = inc.a, inc.b, np.asarray(inc.weight)[..., None]
+    a, b, weight = inc.a, inc.b, inc.weight
+    if not isinstance(weight, float):  # one per slice
+        weight = np.asarray(weight)[..., None]
 
     bv = weight * (b[..., None, :] @ v0)[..., 0, :]     # row of dA @ v0
     k1 = u0 @ s0
@@ -248,35 +271,35 @@ def rank_one_svd_combine(factors: LowRankFactors, inc: RankOneIncrement,
     u0, s0, v0 = (x.reshape((-1,) + x.shape[-2:]) for x in (factors.u, factors.s, factors.v))
     ua, p_hat, p_norm = _split_against_basis(u0, inc.a.reshape(len(u0), -1))
     vb, q_hat, q_norm = _split_against_basis(v0, inc.b.reshape(len(u0), -1))
-    parts = [u0, s0, v0, np.reshape(core_scale, (-1, 1, 1)),
-             np.reshape(inc.weight * inc_scale, (-1, 1, 1)), ua, p_hat, p_norm, vb, q_hat, q_norm]
+    w = inc.weight * inc_scale
+    if len(u0) > 1:  # a scale per slice
+        core_scale, w = np.reshape(core_scale, (-1, 1, 1)), np.reshape(w, (-1, 1, 1))
+    parts = [u0, s0, v0, core_scale, w, ua, p_hat, p_norm, vb, q_hat, q_norm]
 
-    if p_norm.all() and q_norm.all():  # every slice has both directions
+    if len(u0) == 1 or (p_norm.all() and q_norm.all()):  # one kind of slice
         u1, s1, v1 = _combine_core(*parts)
-    else:  # the slices with both together, every other slice alone
+    else:  # the slices grouped by the residual directions they have
         parts[3:5] = [np.broadcast_to(x, (len(u0), 1, 1)) for x in parts[3:5]]
         u1, s1, v1 = np.empty_like(u0), np.empty_like(s0), np.empty_like(v0)
-        both = (p_norm != 0.0) & (q_norm != 0.0)
-        for idx in filter(len, [np.flatnonzero(both)] + [[k] for k in np.flatnonzero(~both)]):
-            sub = [x[idx] for x in parts]
-            sub[6] = sub[6] if sub[7][0] != 0.0 else None
-            sub[9] = sub[9] if sub[10][0] != 0.0 else None
-            u1[idx], s1[idx], v1[idx] = _combine_core(*sub)
+        kinds = (p_norm != 0.0) + 2 * (q_norm != 0.0)
+        for idx in (np.flatnonzero(kinds == k) for k in np.unique(kinds)):
+            u1[idx], s1[idx], v1[idx] = _combine_core(*(x[idx] for x in parts))
     return LowRankFactors(u1.reshape(factors.u.shape), s1.reshape(factors.s.shape),
                           v1.reshape(factors.v.shape))
 
 
 def _combine_core(u0, s0, v0, core_scale, w, ua, p_hat, p_norm, vb, q_hat, q_norm):
-    """The combination for slices that all have (or lack: None) p_hat, q_hat."""
-    r = u0.shape[-1]
-    left = ua if p_hat is None else np.concatenate([ua, p_norm[:, None]], axis=1)
-    right = vb if q_hat is None else np.concatenate([vb, q_norm[:, None]], axis=1)
+    """The combination for slices that all have, or all lack (a zero norm),
+    each residual direction."""
+    r, with_p, with_q = u0.shape[-1], p_norm[0] != 0.0, q_norm[0] != 0.0
+    left = np.concatenate([ua, p_norm[:, None]], axis=1) if with_p else ua
+    right = np.concatenate([vb, q_norm[:, None]], axis=1) if with_q else vb
     core = np.zeros((len(u0), left.shape[1], right.shape[1]))
     core[:, :r, :r] = core_scale * s0
     core += w * (left[:, :, None] * right[:, None, :])
     uk, sk, vkt = _svd(core)
-    u_aug = u0 if p_hat is None else np.concatenate([u0, p_hat[:, :, None]], axis=2)
-    v_aug = v0 if q_hat is None else np.concatenate([v0, q_hat[:, :, None]], axis=2)
+    u_aug = np.concatenate([u0, p_hat[:, :, None]], axis=2) if with_p else u0
+    v_aug = np.concatenate([v0, q_hat[:, :, None]], axis=2) if with_q else v0
     s1 = np.zeros((len(sk), r, r))
     s1.reshape(len(sk), -1)[:, ::r + 1] = sk[:, :r]  # the diagonal
     return u_aug @ uk[:, :, :r], s1, v_aug @ _t(vkt[:, :r, :])
@@ -303,8 +326,9 @@ def _split_against_basis(basis: np.ndarray, vec: np.ndarray):
     correction = _t(basis) @ resid
     resid -= basis @ correction
     coeff += correction
-    norm = np.sqrt(_t(resid) @ resid)[:, 0]
-    tol = _SUBSPACE_TOL * np.maximum(1.0, np.sqrt(_t(vec) @ vec)[:, 0])
+    norm = np.sqrt(_t(resid) @ resid)
     # Where the basis spans the whole space the residual is round-off.
-    norm *= (norm > tol) & (basis.shape[2] < basis.shape[1])
-    return coeff[:, :, 0], resid[:, :, 0] / (norm + (norm == 0.0)), norm[:, 0]
+    norm *= (basis.shape[2] < basis.shape[1]) & (
+        norm > _SUBSPACE_TOL * np.maximum(1.0, np.sqrt(_t(vec) @ vec)))
+    resid /= norm + (norm == 0.0)
+    return coeff[:, :, 0], resid[:, :, 0], norm[:, 0, 0]

@@ -22,6 +22,8 @@ from .precond import (
     IntegratorVariant,
     PreconditionerState,
     apply_inverse,
+    preconditioned_direction,
+    squared_norm,
     update_exact,
     update_integrator,
 )
@@ -104,12 +106,14 @@ class ParamState:
 
 def vec(w: np.ndarray) -> np.ndarray:
     """Flatten an m x n matrix column-major (each matrix of a stack)."""
-    return np.asarray(w, dtype=float).swapaxes(-1, -2).reshape(np.shape(w)[:-2] + (-1,))
+    w = np.asarray(w, dtype=float)
+    return w.swapaxes(-1, -2).reshape(w.shape[:-2] + (-1,))
 
 
 def unvec(w: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     """Inverse of :func:`vec`."""
-    return np.asarray(w, dtype=float).reshape(np.shape(w)[:-1] + shape[::-1]).swapaxes(-1, -2)
+    w = np.asarray(w, dtype=float)
+    return w.reshape(w.shape[:-1] + shape[::-1]).swapaxes(-1, -2)
 
 
 @dataclass
@@ -150,28 +154,33 @@ def _sym_inv_power(mat: np.ndarray, power: float) -> np.ndarray:
     return (vecs * lam[..., None, :]**power) @ vecs.swapaxes(-1, -2)
 
 
+def _nonfinite(x: np.ndarray | float, axes: tuple):
+    """False when x is finite, else whether each cell (x reduced over axes) is not."""
+    if isinstance(x, float):  # math is quicker than numpy on one value
+        return False if math.isfinite(x) else np.True_
+    return False if np.isfinite(x).all() else ~np.isfinite(x).all(axis=axes)
+
+
 def _step(params: ParamState, grad: np.ndarray, rule) -> ParamState:
-    """Step by ``rule(weights, finite gradient) -> (weights, state went
-    non-finite)``.  One cell raises NonFiniteGradientError where a stacked
+    """Step by ``rule(weights, finite gradient) -> (weights, cells whose state
+    went non-finite)``.  One cell raises NonFiniteGradientError where a stacked
     cell gets NaN weights, and the other cells step as if it were not there."""
     grad = np.asarray(grad, dtype=float)
     if grad.shape != params.shape:
         raise ValueError(f"gradient shape {grad.shape} does not match weights {params.shape}")
-    bad = ~np.isfinite(grad).all(axis=(-2, -1))
-    if bad.any():
+    bad = _nonfinite(grad, (-2, -1))
+    if bad is not False:
         if not bad.ndim:
             raise NonFiniteGradientError(f"non-finite gradient at step {params.step + 1}")
         grad = np.where(bad[:, None, None], 0.0, grad)
     w, bad_state = rule(params.weights, grad)
     bad = bad | bad_state
-    if bad.any():
+    if bad is not False:
         if not bad.ndim:
             raise NonFiniteGradientError(f"non-finite preconditioner at step {params.step + 1}")
         w[bad] = np.nan
     return ParamState(w, params.step + 1)
 
-
-# Each step rule takes one config, or an Optimizer stepping a stack (an lr per cell).
 
 def sgd_step(params: ParamState, grad: np.ndarray, cfg: OptimizerConfig) -> ParamState:
     return _step(params, grad, lambda w, g: (w - cfg.learning_rate * g, False))
@@ -215,34 +224,29 @@ def adagram_step(params: ParamState, grad: np.ndarray,
     preconditioner absorbs it, and the parameter write uses the rescaled
     direction gbar / sqrt(1 + ||gbar||^2) (equivalent to stepping with the
     post-update inverse factor).  A transformed gradient whose squared
-    norm overflows, or factors that turn non-finite, are divergence.
+    norm overflows is divergence before any state update; factors that turn
+    non-finite are divergence after it.
     """
     def rule(w, g):
         gbar = apply_inverse(state, vec(g))
-        norm_sq = (gbar[..., None, :] @ gbar[..., :, None])[..., 0]
-        bad = ~np.isfinite(norm_sq[..., 0])
-        if bad.any():  # ||gbar||^2 overflowed: that cell has diverged
-            gbar[bad] = 0.0
+        norm_sq = squared_norm(gbar)  # a float for one cell
+        bad = _nonfinite(norm_sq, ())
+        if bad is not False:  # ||gbar||^2 overflowed: the cell has diverged
+            if w.ndim == 2:
+                raise NonFiniteGradientError(
+                    f"non-finite preconditioned gradient at step {params.step + 1}")
+            bad = np.reshape(bad, w.shape[:-2])
+            gbar[bad], norm_sq = 0.0, np.where(bad, 0.0, norm_sq)
         if isinstance(state, ExactPQState):
             update_exact(state, gbar)
         else:
-            update_integrator(state, gbar)
+            update_integrator(state, gbar, norm_sq)
             # The core is non-finite whenever a factor is: both factorizations'
             # triangular factors are whenever their panels are.
-            bad = bad | ~np.isfinite(state.factors.s).all(axis=(-2, -1))
-        # preconditioned_direction(gbar), with the norm at hand
-        direction = unvec(gbar / np.sqrt(1.0 + norm_sq), w.shape[-2:])
+            bad = bad | _nonfinite(state.factors.s, (-2, -1))
+        direction = unvec(preconditioned_direction(gbar, norm_sq), w.shape[-2:])
         return w - cfg.learning_rate * direction, bad
     return _step(params, grad, rule)
-
-
-STEP_RULES = {
-    OptimizerKind.SGD: lambda params, grad, state, cfg: sgd_step(params, grad, cfg),
-    OptimizerKind.ADAGRAD_DIAG: adagrad_diag_step,
-    OptimizerKind.ADAGRAD_FULL: adagrad_full_step,
-    OptimizerKind.SHAMPOO: shampoo_step,
-    **dict.fromkeys(ADAGRAM_KINDS, adagram_step),
-}
 
 
 def _init_state(kind: OptimizerKind, shape: tuple[int, int], eps, rank: int, mu):
@@ -264,9 +268,10 @@ def _init_state(kind: OptimizerKind, shape: tuple[int, int], eps, rank: int, mu)
 
 
 class Optimizer:
-    """The step rule of one kind and its state.  From one config it steps
-    m x n weights, the K = 1 view of the code that steps (K, m, n) weights
-    from a list of K configs of one kind and rank."""
+    """A kind's step rule and its state.  From one config it steps m x n
+    weights, the K = 1 view of the code that steps (K, m, n) weights from a
+    list of K configs of one kind and rank.  Each subclass steps by its
+    kind's ``*_step`` function."""
 
     def __init__(self, cfg: OptimizerConfig | list[OptimizerConfig],
                  shape: tuple[int, int]):
@@ -274,7 +279,6 @@ class Optimizer:
         cfgs = cfg if isinstance(cfg, list) else [cfg]
         if len({(c.kind, c.rank) for c in cfgs}) != 1:
             raise ValueError("a stack of cells shares one kind and rank")
-        self.rule = STEP_RULES[cfgs[0].kind]
         if isinstance(cfg, list):
             self.learning_rate = np.array([c.learning_rate for c in cfgs])[:, None, None]
             eps, mu = np.array([c.eps for c in cfgs]), [c.mu for c in cfgs]
@@ -283,9 +287,10 @@ class Optimizer:
         self.state = _init_state(cfgs[0].kind, shape, eps, cfgs[0].rank, mu)
 
     def step(self, params: ParamState, grad: np.ndarray) -> ParamState:
-        return self.rule(params, grad, self.state, self)
+        raise NotImplementedError
 
     def select(self, keep: np.ndarray) -> None:
+        """Keep the cells of a stack where ``keep`` is true."""
         self.learning_rate = self.learning_rate[keep]
         state = self.state
         if isinstance(state, np.ndarray):
@@ -297,6 +302,43 @@ class Optimizer:
             self.state = state.select(keep)
 
 
+# The step rules take an Optimizer for their config: a stack's has an lr per cell.
+
+class Sgd(Optimizer):
+    def step(self, params, grad):
+        return sgd_step(params, grad, self)
+
+
+class AdaGradDiag(Optimizer):
+    def step(self, params, grad):
+        return adagrad_diag_step(params, grad, self.state, self)
+
+
+class AdaGradFull(Optimizer):
+    def step(self, params, grad):
+        return adagrad_full_step(params, grad, self.state, self)
+
+
+class Shampoo(Optimizer):
+    def step(self, params, grad):
+        return shampoo_step(params, grad, self.state, self)
+
+
+class AdaGram(Optimizer):
+    def step(self, params, grad):
+        return adagram_step(params, grad, self.state, self)
+
+
+_BUILDERS = {
+    OptimizerKind.SGD: Sgd,
+    OptimizerKind.ADAGRAD_DIAG: AdaGradDiag,
+    OptimizerKind.ADAGRAD_FULL: AdaGradFull,
+    OptimizerKind.SHAMPOO: Shampoo,
+    **dict.fromkeys(ADAGRAM_KINDS, AdaGram),
+}
+
+
 def make_optimizer(cfg: OptimizerConfig | list[OptimizerConfig],
                    shape: tuple[int, int]) -> Optimizer:
-    return Optimizer(cfg, shape)
+    """The optimizer of one config, or of a stack from a list of configs."""
+    return _BUILDERS[(cfg[0] if isinstance(cfg, list) else cfg).kind](cfg, shape)

@@ -45,9 +45,11 @@ def alpha_of(norm_sq):
     (sqrt(1 + s) - 1) / s but free of cancellation for small s, and yields
     the analytic limit 1/2 at s = 0.  Elementwise on an array.
     """
-    if not (np.isfinite(norm_sq) & (norm_sq >= 0.0)).all():
+    one = isinstance(norm_sq, float)  # math is quicker than numpy on one value
+    if not (math.isfinite(norm_sq) and norm_sq >= 0.0 if one
+            else (np.isfinite(norm_sq) & (norm_sq >= 0.0)).all()):
         raise ValueError(f"squared norm must be finite and >= 0, got {norm_sq}")
-    return 1.0 / (np.sqrt(1.0 + norm_sq) + 1.0)
+    return 1.0 / ((math.sqrt if one else np.sqrt)(1.0 + norm_sq) + 1.0)
 
 
 def beta_of(alpha, norm_sq):
@@ -108,19 +110,27 @@ class IntegratorState:
         mus = list(mu) if self.eps.ndim else [mu]
         if any(x is not None and not 0.0 <= x <= 1.0 for x in mus):
             raise ValueError(f"mu must lie in [0, 1], got {mu}")
-        # History and increment weights: (mu, 1 - mu), or (1, 1) without mu.
-        self.hist = np.reshape([1.0 if x is None else x for x in mus], self.eps.shape)
-        self.inc = np.reshape([1.0 if x is None else 1.0 - x for x in mus], self.eps.shape)
+        # History and increment weights: (mu, 1 - mu), (1, 1) without mu,
+        # and None for both where no cell has a mu.
+        self._weigh(*((None, None) if mus == [None] * len(mus) else
+                      (np.reshape([1.0 if x is None else x for x in mus], self.eps.shape),
+                       np.reshape([1.0 if x is None else 1.0 - x for x in mus], self.eps.shape))))
         self.factors = zero_factors(dim, rank, self.eps.shape)
         self.rank, self.variant, self.t = self.factors.rank, variant, 0
+
+    def _weigh(self, hist, inc) -> None:
+        # mu = 1 keeps mu * A + 0 * dA = A: only the ``live`` cells update.
+        self.hist, self.inc = hist, inc
+        self.live = None if inc is None or inc.all() else np.flatnonzero(inc)
 
     @property
     def dim(self) -> int:
         return self.factors.dim
 
     def select(self, keep) -> "IntegratorState":
-        self.eps, self.hist, self.inc = self.eps[keep], self.hist[keep], self.inc[keep]
-        self.factors = self.factors.take(keep)
+        self.eps, self.factors = self.eps[keep], self.factors.take(keep)
+        if self.hist is not None:
+            self._weigh(self.hist[keep], self.inc[keep])
         return self
 
 
@@ -139,7 +149,7 @@ def _check_vector(state: PreconditionerState, g: np.ndarray) -> np.ndarray:
 def apply_inverse(state: PreconditionerState, g: np.ndarray) -> np.ndarray:
     """Transformed gradient (I - P Q^T) g / sqrt(eps), cost O(n t) or O(n r)."""
     g = _check_vector(state, g)
-    y = g / np.sqrt(state.eps)[..., None]
+    y = g / (np.sqrt(state.eps[:, None]) if state.eps.ndim else math.sqrt(state.eps))
     if isinstance(state, ExactPQState):
         if state.t == 0:
             return y
@@ -147,15 +157,27 @@ def apply_inverse(state: PreconditionerState, g: np.ndarray) -> np.ndarray:
     return y - state.factors.apply(y)
 
 
-def preconditioned_direction(gbar: np.ndarray) -> np.ndarray:
+def preconditioned_direction(gbar: np.ndarray, norm_sq=None) -> np.ndarray:
     """Rescale the transformed gradient by its own contribution to G.
 
     Returns gbar / sqrt(1 + ||gbar||^2), the inverse-factor image of the
     raw gradient under the post-update preconditioner, without touching
-    state.  Strictly norm-contracting unless gbar = 0.  Row by row.
+    state.  Strictly norm-contracting unless gbar = 0.  Row by row;
+    ``norm_sq`` may give ||gbar||^2 as :func:`squared_norm` does.
     """
     gbar = np.asarray(gbar, dtype=float)
-    return gbar / np.sqrt(1.0 + (gbar[..., None, :] @ gbar[..., :, None])[..., 0])
+    s = squared_norm(gbar) if norm_sq is None else norm_sq
+    return gbar / (math.sqrt(1.0 + s) if isinstance(s, float) else np.sqrt(1.0 + s)[:, None])
+
+
+def squared_norm(gbar: np.ndarray):
+    """||gbar||^2 as a float for one vector (or a stack of one), else per row.
+
+    Both forms make the same BLAS dot call per vector."""
+    if gbar.size == gbar.shape[-1]:
+        one = gbar.reshape(-1)
+        return float(one @ one)
+    return (gbar[:, None, :] @ gbar[:, :, None])[:, 0, 0]
 
 
 def check_exact_budget(steps: int, dim: int,
@@ -174,7 +196,7 @@ def update_exact(state: ExactPQState, gbar: np.ndarray) -> ExactPQState:
     Appends beta * gbar to P and (I - Q P^T) gbar to Q.
     """
     gbar = _check_vector(state, gbar)
-    check_exact_budget(state.t + 1, state.dim, state.max_values)
+    check_exact_budget(state.t + 1, state.eps.size * state.dim, state.max_values)  # the stack's
     norm_sq = (gbar[..., None, :] @ gbar[..., :, None])[..., 0, 0]
     beta = beta_of(alpha_of(norm_sq), norm_sq)
     q_col = gbar - (state.q @ (state.p.swapaxes(-1, -2) @ gbar[..., None]))[..., 0]
@@ -183,38 +205,41 @@ def update_exact(state: ExactPQState, gbar: np.ndarray) -> ExactPQState:
     return state
 
 
-def update_integrator(state: IntegratorState, gbar: np.ndarray) -> IntegratorState:
+def update_integrator(state: IntegratorState, gbar: np.ndarray,
+                      norm_sq=None) -> IntegratorState:
     """Absorb a transformed gradient into the low-rank backend (in place).
 
     The increment dA = beta * gbar (gbar^T (I - U S V^T)) is kept factored:
     a = gbar, b = gbar - V S^T U^T gbar, weight = beta.  With a memory
     weight mu the represented matrix becomes mu * A + (1 - mu) * dA;
-    without one the increment accumulates unweighted.  gbar must be finite.
+    without one the increment accumulates unweighted.  gbar must be finite;
+    ``norm_sq`` may give ||gbar||^2 as :func:`squared_norm` does.
     """
     gbar = _check_vector(state, gbar)
+    if norm_sq is None:
+        norm_sq = squared_norm(gbar)
     factors, hist, inc_scale = state.factors, state.hist, state.inc
-    # mu = 1 keeps mu * A + 0 * dA = A: those factors stay as built.
-    live = np.flatnonzero(inc_scale)
-    some = live.size < inc_scale.size
-    if some:
-        if not live.size:
+    if state.live is not None:  # the mu = 1 cells stay as built
+        if not state.live.size:
             state.t += 1
             return state
-        factors, gbar = factors.take(live), gbar[live]
-        hist, inc_scale = hist[live], inc_scale[live]
-    norm_sq = (gbar[..., None, :] @ gbar[..., :, None])[..., 0, 0]
+        factors, gbar, norm_sq = factors.take(state.live), gbar[state.live], norm_sq[state.live]
+        hist, inc_scale = hist[state.live], inc_scale[state.live]
     beta = beta_of(alpha_of(norm_sq), norm_sq)
     b = gbar - factors.apply_transpose(gbar)
 
     if state.variant is IntegratorVariant.PROJECTOR_SPLITTING:
-        scaled = LowRankFactors(factors.u, hist[..., None, None] * factors.s, factors.v)
-        new = projector_splitting_step(scaled, RankOneIncrement.trusted(gbar, b, beta * inc_scale))
+        if hist is not None:
+            factors = LowRankFactors(factors.u, hist[..., None, None] * factors.s, factors.v)
+        weight = beta if inc_scale is None else beta * inc_scale
+        new = projector_splitting_step(factors, RankOneIncrement.trusted(gbar, b, weight))
     else:
         new = rank_one_svd_combine(factors, RankOneIncrement.trusted(gbar, b, beta),
-                                   hist, inc_scale)
-    if some:
+                                   1.0 if hist is None else hist,
+                                   1.0 if inc_scale is None else inc_scale)
+    if state.live is not None:
         f = state.factors
-        f.u[live], f.s[live], f.v[live] = new.u, new.s, new.v
+        f.u[state.live], f.s[state.live], f.v[state.live] = new.u, new.s, new.v
     else:
         state.factors = new
     state.t += 1

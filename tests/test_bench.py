@@ -3,6 +3,7 @@
 import math
 import os
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -215,6 +216,16 @@ class TestPreparedData:
             assert rows_without_wall_clock(record) == \
                 rows_without_wall_clock(run_experiment(cfg))
 
+    def test_full_rank_cell_matches_run_alone(self):
+        # Rank 40 is clamped to the 5 parameters, so every first step falls
+        # back to Householder QR; the mu = 1 cell keeps its zero factors, so
+        # the stack writes the other cell's new factors into its own arrays.
+        base = make_cfg(kind=OptimizerKind.ADAGRAM_PS, eps=1e-8, rank=40, epochs=2,
+                        dataset="synthetic:tridiagonal", n_features=4, batch_size=16)
+        for cfg, record in grid_search({"mu": [0.9, 1.0]}, base).entries:
+            assert rows_without_wall_clock(record) == \
+                rows_without_wall_clock(run_experiment(cfg))
+
     def test_one_gradient_call_per_stack_step(self, monkeypatch):
         calls = []
         real_gradient = bench_mod.glm.gradient
@@ -269,6 +280,36 @@ class TestExactBudget:
         with pytest.raises(PreconditionerBudgetError):
             grid_search({"batch_size": [64, 1]}, make_cfg(**self.OVER))
         assert runs == []
+
+    def test_stack_of_cells_within_one_cells_budget(self, monkeypatch):
+        # Four cells that each store just under the budget train one at a
+        # time, so the grid never holds more than one cell's P and Q.
+        cfg = make_cfg(kind=OptimizerKind.ADAGRAM_EXACT, dataset="synthetic:dense",
+                       n_features=99, n_samples=125, batch_size=1, epochs=4)
+        data = bench_mod._prepare(cfg)
+        values = 2 * 100 * bench_mod._steps(cfg, data)
+        monkeypatch.setattr(precond_mod.ExactPQState, "max_values", values + 1)
+        sizes, real_run_stack = [], bench_mod.run_stack
+        monkeypatch.setattr(bench_mod, "run_stack",
+                            lambda cells, data: sizes.append(len(cells)) or real_run_stack(cells, data))
+        tracemalloc.start()
+        try:
+            grid_search({"learning_rate": [0.01, 0.02, 0.03, 0.04]}, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sizes == [1, 1, 1, 1]
+        assert peak < 3 * 8 * values
+        # At half the budget, two cells share a stack.
+        monkeypatch.setattr(precond_mod.ExactPQState, "max_values", 2 * values)
+        assert [len(s) for s in bench_mod._stacks([cfg] * 5, data)] == [2, 2, 1]
+
+    def test_dense_accumulator_stacks_hold_one_capped_cell(self):
+        cfg = make_cfg(kind=OptimizerKind.ADAGRAD_FULL, dataset="synthetic:dense",
+                       n_features=99)  # 100 parameters: 10**4 values a cell
+        data = bench_mod._prepare(cfg)
+        sizes = [len(s) for s in bench_mod._stacks([cfg] * 60, data)]
+        assert sizes == [26, 26, 8]  # 512**2 // 10**4 cells a stack
 
     def test_cli_exit_code(self, capsys):
         code = cli_main(["--dataset", "synthetic:dense", "--optimizer", "adagram_exact",

@@ -197,6 +197,27 @@ class TestTruncatedSvdUpdate:
         assert np.linalg.norm(out.materialize() - target) <= 1e-10
         assert_orthonormal(out.u)
 
+    def test_stacked_slices_match_each_slice_alone(self):
+        # Generic, a in span(U), b in span(V), both, and generic again: the
+        # stack groups its slices by case, and each gets its bits alone.
+        rng = np.random.default_rng(14)
+        n, r = 8, 3
+        alone = [random_factors(rng, n, r) for _ in range(5)]
+        incs = []
+        for k, f in enumerate(alone):
+            a = f.u @ rng.standard_normal(r) if k in (1, 3) else rng.standard_normal(n)
+            b = f.v @ rng.standard_normal(r) if k in (2, 3) else rng.standard_normal(n)
+            incs.append(RankOneIncrement(a, b, 0.5 + k))
+        stack = LowRankFactors(*(np.stack([getattr(f, x) for f in alone]) for x in "usv"))
+        scales = np.linspace(0.5, 1.0, 5)
+        out = rank_one_svd_combine(
+            stack, RankOneIncrement(np.stack([i.a for i in incs]), np.stack([i.b for i in incs]),
+                                    np.array([i.weight for i in incs])), scales, 1.0 - scales)
+        for k, (f, inc) in enumerate(zip(alone, incs)):
+            one = rank_one_svd_combine(f, inc, scales[k], 1.0 - scales[k])
+            for x in "usv":
+                assert getattr(out, x)[k].tobytes() == getattr(one, x).tobytes()
+
     def test_mu_out_of_range(self):
         factors = zero_factors(4, 2)
         inc = RankOneIncrement(np.ones(4), np.ones(4), 1.0)

@@ -227,6 +227,49 @@ class TestAdaGramStep:
             assert abs(lhs - ref) <= 1e-8 * ref
 
 
+    @pytest.mark.parametrize("kind", [OptimizerKind.ADAGRAM_EXACT,
+                                      OptimizerKind.ADAGRAM_PS,
+                                      OptimizerKind.ADAGRAM_FR])
+    def test_overflow_raises_before_any_state_update(self, kind):
+        # gbar = 1e10 / sqrt(1e-300) per coordinate: ||gbar||^2 overflows.
+        opt = make_optimizer(cfg(kind=kind, eps=1e-300, rank=2, mu=0.9), (1, 4))
+        with pytest.raises(NonFiniteGradientError, match="preconditioned gradient"):
+            opt.step(ParamState.zeros(1, 4), np.full((1, 4), 1e10))
+        assert opt.state.t == 0
+        if kind is not OptimizerKind.ADAGRAM_EXACT:
+            np.testing.assert_array_equal(opt.state.factors.s, 0.0)
+            np.testing.assert_array_equal(opt.state.factors.u, np.eye(4, 2))
+
+    def test_overflow_in_a_stack_is_that_cells_divergence(self):
+        cells = [cfg(kind=OptimizerKind.ADAGRAM_PS, eps=eps, rank=2) for eps in (1e-300, 1.0)]
+        stack, alone = make_optimizer(cells, (1, 4)), make_optimizer(cells[1], (1, 4))
+        g = np.full((1, 4), 1e10)
+        out = stack.step(ParamState(np.zeros((2, 1, 4))), np.stack([g, g]))
+        assert np.isnan(out.weights[0]).all()
+        assert out.weights[1].tobytes() == alone.step(ParamState.zeros(1, 4), g).weights.tobytes()
+
+
+@pytest.mark.parametrize("kind", list(OptimizerKind))
+@pytest.mark.parametrize("shape, rank", [((2, 5), 3), ((1, 5), 5)])
+def test_stack_steps_each_cell_as_alone(kind, shape, rank):
+    # Bitwise: a stack's cells, and a stack of one, step as m x n weights do,
+    # also where the rank is the parameter count.
+    rng = np.random.default_rng(8)
+    cells = [cfg(kind=kind, lr=lr, eps=eps, rank=rank, mu=mu)
+             for lr, eps, mu in ((0.3, 0.1, None), (0.1, 1.0, 0.9), (0.2, 0.01, 1.0))]
+    grads = [rng.standard_normal((3,) + shape) for _ in range(12)]
+    for group in (cells, cells[1:2]):
+        stack = make_optimizer(group, shape)
+        params = ParamState(np.zeros((len(group),) + shape))
+        for g in grads:
+            params = stack.step(params, g[:len(group)])
+        for k, c in enumerate(group):
+            opt, alone = make_optimizer(c, shape), ParamState(np.zeros(shape))
+            for g in grads:
+                alone = opt.step(alone, g[k])
+            assert params.weights[k].tobytes() == alone.weights.tobytes()
+
+
 class TestPermutationEquivariance:
     @pytest.mark.parametrize("kind", list(OptimizerKind))
     def test_coordinate_permutation_permutes_trajectory(self, kind):
