@@ -280,10 +280,9 @@ def resolve_dataset(cfg: ExperimentConfig) -> Dataset:
     name = cfg.dataset
     if name.startswith("synthetic:"):
         kind = name.split(":", 1)[1]
-        try:
-            corr = CorrelationSpec(CorrelationKind(kind), cfg.n_features, cfg.rho)
-        except ValueError as exc:
-            raise ConfigError(f"unknown synthetic dataset {name!r}") from exc
+        if kind not in {k.value for k in CorrelationKind}:
+            raise ConfigError(f"unknown synthetic dataset {name!r}")
+        corr = CorrelationSpec(CorrelationKind(kind), cfg.n_features, cfg.rho)
         return generate_synthetic(
             SyntheticSpec(corr, n_samples=cfg.n_samples, seed=cfg.seed)
         )

@@ -46,6 +46,8 @@ class CorrelationSpec:
             # Tridiagonal stays positive definite for all n at |rho| < 0.5;
             # 0.95 is the highly-correlated Toeplitz default.
             self.rho = 0.45 if self.kind is CorrelationKind.TRIDIAGONAL else 0.95
+        if self.rho is not None and not math.isfinite(self.rho):
+            raise DataError(f"rho must be finite, got {self.rho}")
 
     def matrix(self) -> np.ndarray:
         n = self.n_features
@@ -58,6 +60,42 @@ class CorrelationSpec:
             return m
         idx = np.arange(n)
         return self.rho ** np.abs(idx[:, None] - idx[None, :])
+
+    def min_eigenvalue(self) -> tuple[float, bool]:
+        """The smallest eigenvalue of matrix() in closed form, and whether
+        it is only a lower bound.
+
+        Tridiagonal: 1 - 2|rho| cos(pi/(n+1)), exact.  Dense (the AR(1) or
+        Kac-Murdock-Szego matrix): its eigenvalues (1-rho^2)/(1 - 2 rho cos t
+        + rho^2), t in (0, pi), are never below (1-|rho|)/(1+|rho|), |rho| < 1.
+        """
+        n, r = self.n_features, abs(self.rho or 0.0)
+        if self.kind is CorrelationKind.ISOTROPIC or n == 1:
+            return 1.0, False
+        if self.kind is CorrelationKind.TRIDIAGONAL:
+            return 1.0 - 2.0 * r * math.cos(math.pi / (n + 1)), False
+        return ((1.0 - r) / (1.0 + r) if r < 1.0 else 0.0), True
+
+    def color(self, z: np.ndarray) -> np.ndarray:
+        """z @ cholesky(matrix()).T for a positive definite matrix(), in O(z.size)."""
+        n, rho = self.n_features, self.rho
+        if self.kind is CorrelationKind.ISOTROPIC or n == 1:
+            return z
+        if self.kind is CorrelationKind.TRIDIAGONAL:
+            # Bidiagonal factor: d_0 = 1, l_j = rho/d_{j-1}, d_j = sqrt(1 - l_j^2).
+            diag, sub = np.ones(n), np.zeros(n)
+            for j in range(1, n):
+                sub[j] = rho / diag[j - 1]
+                diag[j] = math.sqrt(1.0 - sub[j] ** 2)
+            x = z * diag
+            x[:, 1:] += z[:, :-1] * sub[1:]
+            return x
+        # AR(1): x_0 = z_0, x_j = rho x_{j-1} + sqrt(1 - rho^2) z_j.
+        x = z * math.sqrt(1.0 - rho * rho)
+        x[:, 0] = z[:, 0]
+        for j in range(1, n):
+            x[:, j] += rho * x[:, j - 1]
+        return x
 
 
 @dataclass
@@ -112,26 +150,27 @@ class Dataset:
 def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     """Draw X = Z C^T with C C^T the requested correlation matrix.
 
+    Costs O(n_samples * n_features): positive definiteness is checked and
+    C applied in closed form (see CorrelationSpec), never as an n x n array.
     Labels are Bernoulli(sigma(x . theta_star)).  When theta_star is not
     given it is drawn first from the same seeded generator and scaled to
     norm 3 (informative but not separable).
     """
-    sigma_mat = spec.corr.matrix()
-    min_eig = float(np.linalg.eigvalsh(sigma_mat).min())
+    min_eig, bound = spec.corr.min_eigenvalue()
     if min_eig <= 1e-8:
+        what = "lower bound on the min eigenvalue" if bound else "min eigenvalue"
         raise DataError(
             f"correlation matrix for {spec.corr.kind.value} "
             f"(rho={spec.corr.rho}, n={spec.corr.n_features}) is not positive "
-            f"definite: min eigenvalue {min_eig:.3e}"
+            f"definite: {what} {min_eig:.3e}"
         )
     rng = np.random.default_rng(spec.seed)
     theta = spec.theta_star
     if theta is None:
         theta = rng.standard_normal(spec.corr.n_features)
         theta *= 3.0 / np.linalg.norm(theta)
-    chol = np.linalg.cholesky(sigma_mat)
     z = rng.standard_normal((spec.n_samples, spec.corr.n_features))
-    x = z @ chol.T
+    x = spec.corr.color(z)
     y = (rng.random(spec.n_samples) < sigmoid(x @ theta)).astype(int)
     return Dataset(x, y, n_classes=2, name=f"synthetic:{spec.corr.kind.value}")
 

@@ -433,6 +433,13 @@ class TestCli:
         code = cli_main(["--dataset", "/no/such/file", "--optimizer", "sgd"])
         assert code == 2
 
+    @pytest.mark.parametrize("rho", ["nan", "inf"])
+    def test_non_finite_rho_is_config_error(self, rho, capsys):
+        code = cli_main(["--dataset", "synthetic:dense", "--optimizer", "sgd",
+                         "--rho", rho, "--epochs", "1"])
+        assert code == 2
+        assert "rho must be finite" in capsys.readouterr().err
+
     def test_divergence_exit_code(self, tmp_path):
         code = cli_main([
             "--dataset", "synthetic:isotropic", "--optimizer", "sgd",

@@ -1,5 +1,7 @@
 """Tests for synthetic generation and LIBSVM ingestion."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from adagram.data import (
     serialize_libsvm,
     split_standardize,
 )
+from adagram.glm import sigmoid
 
 
 class TestCorrelationSpec:
@@ -94,6 +97,89 @@ class TestGenerateSynthetic:
         with pytest.raises(DataError):
             SyntheticSpec(CorrelationSpec(CorrelationKind.ISOTROPIC, 3),
                           theta_star=np.ones(4))
+
+
+def eigvalsh_min(spec):
+    return float(np.linalg.eigvalsh(spec.matrix()).min())
+
+
+class TestClosedForms:
+    """color() and min_eigenvalue() against the dense n x n oracle."""
+
+    RHOS = (-0.7, 0.0, 0.45, 0.95)
+
+    @pytest.mark.parametrize("kind", list(CorrelationKind))
+    @pytest.mark.parametrize("n", [1, 2, 14, 200])
+    def test_color_matches_cholesky(self, kind, n):
+        rng = np.random.default_rng(n)
+        for rho in self.RHOS:
+            spec = CorrelationSpec(kind, n, rho=rho)
+            if eigvalsh_min(spec) <= 1e-8:
+                continue  # no Cholesky factor for this kind and rho
+            z = rng.standard_normal((40, n))
+            want = z @ np.linalg.cholesky(spec.matrix()).T
+            got = spec.color(z)
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("kind", list(CorrelationKind))
+    @pytest.mark.parametrize("n", [1, 2, 14, 200])
+    def test_min_eigenvalue(self, kind, n):
+        for rho in self.RHOS:
+            spec = CorrelationSpec(kind, n, rho=rho)
+            value, bound = spec.min_eigenvalue()
+            assert bound == (kind is CorrelationKind.DENSE and n > 1)
+            if bound:
+                assert value <= eigvalsh_min(spec) + 1e-12
+            else:
+                assert value == pytest.approx(eigvalsh_min(spec), abs=1e-12)
+
+    @pytest.mark.parametrize("kind", list(CorrelationKind))
+    @pytest.mark.parametrize("n", [1, 2, 14, 50])
+    def test_refusal_matches_eigvalsh_rule(self, kind, n):
+        for rho in (-1.5, -1.0, -0.99, 0.0, 0.45, 0.6, 0.95, 0.999, 1.0, 1.5):
+            spec = CorrelationSpec(kind, n, rho=rho)
+            refused = eigvalsh_min(spec) <= 1e-8
+            try:
+                generate_synthetic(SyntheticSpec(spec, n_samples=4))
+            except DataError as exc:
+                assert refused, f"rho={rho} newly refused: {exc}"
+                assert ("lower bound" in str(exc)) == (kind is CorrelationKind.DENSE)
+            else:
+                assert not refused, f"rho={rho} newly accepted"
+
+    @pytest.mark.parametrize("kind", ["tridiagonal", "dense"])
+    def test_no_dense_allocation(self, kind):
+        # One 4096 x 4096 float array is 128 MiB; stay below an eighth of it.
+        spec = SyntheticSpec(CorrelationSpec(CorrelationKind(kind), 4096),
+                             n_samples=64, seed=0)
+        tracemalloc.start()
+        try:
+            generate_synthetic(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_wide_draw_matches_dense_oracle(self, seed):
+        # The same rng draws in the same order as z @ cholesky(matrix()).T.
+        spec = SyntheticSpec(CorrelationSpec(CorrelationKind.DENSE, 1023),
+                             n_samples=400, seed=seed)
+        ds = generate_synthetic(spec)
+        rng = np.random.default_rng(seed)
+        theta = rng.standard_normal(1023)
+        theta *= 3.0 / np.linalg.norm(theta)
+        z = rng.standard_normal((400, 1023))
+        x = z @ np.linalg.cholesky(spec.corr.matrix()).T
+        y = (rng.random(400) < sigmoid(x @ theta)).astype(int)
+        assert np.linalg.norm(ds.x - x) <= 1e-13 * np.linalg.norm(x)
+        assert np.array_equal(ds.y, y)
+
+    @pytest.mark.parametrize("kind", list(CorrelationKind))
+    @pytest.mark.parametrize("rho", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_rho_rejected(self, kind, rho):
+        with pytest.raises(DataError, match="rho must be finite"):
+            CorrelationSpec(kind, 4, rho=rho)
 
 
 class TestParseLibsvm:
