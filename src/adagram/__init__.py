@@ -25,7 +25,6 @@ from .lowrank import (
     RankOneIncrement,
     orthogonal_factorization,
     projector_splitting_step,
-    truncated_svd_update,
     zero_factors,
 )
 from .optim import OptimizerConfig, OptimizerKind, ParamState, make_optimizer

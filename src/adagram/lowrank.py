@@ -19,9 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dpotrf as _dpotrf, dtrtri as _dtrtri
 
-# Dense reconstruction is a test/diagnostic device; keep it impossible at scale.
-MATERIALIZE_CAP = 64
-
 # Residual directions smaller than this (relative to the update vector) are
 # treated as lying inside the current subspace.
 _SUBSPACE_TOL = 1e-12
@@ -67,15 +64,6 @@ class LowRankFactors:
         if x.ndim == 1:
             return self.v @ (self.s.T @ (self.u.T @ x))
         return (self.v @ (_t(self.s) @ (_t(self.u) @ x[..., None])))[..., 0]
-
-    def materialize(self) -> np.ndarray:
-        """Dense n x n reconstruction, refused above MATERIALIZE_CAP."""
-        if self.dim > MATERIALIZE_CAP:
-            raise ValueError(
-                f"refusing to materialize {self.dim} x {self.dim} matrix "
-                f"(cap {MATERIALIZE_CAP}); dense reconstruction is for tests only"
-            )
-        return self.u @ self.s @ self.v.T
 
 
 @dataclass
@@ -243,43 +231,27 @@ def projector_splitting_step(factors: LowRankFactors,
     return LowRankFactors(u1, _t(s1_t), v1)
 
 
-def truncated_svd_update(factors: LowRankFactors, inc: RankOneIncrement,
-                         mu: float) -> LowRankFactors:
-    """Best rank-r approximation of mu * A + (1 - mu) * dA.
+def rank_one_svd_combine(factors: LowRankFactors,
+                         inc: RankOneIncrement) -> LowRankFactors:
+    """Best rank-r approximation of A + dA.
 
-    Projects the increment onto span(u) + one orthogonal direction (and
-    likewise for v), takes the SVD of the resulting (r+1) x (r+1) core and
-    truncates back to rank r.
-    """
-    if not 0.0 <= mu <= 1.0:
-        raise ValueError(f"mu must lie in [0, 1], got {mu}")
-    return rank_one_svd_combine(factors, inc, mu, 1.0 - mu)
-
-
-def rank_one_svd_combine(factors: LowRankFactors, inc: RankOneIncrement,
-                         core_scale, inc_scale) -> LowRankFactors:
-    """Best rank-r approximation of core_scale * A + inc_scale * dA.
-
-    The combination is exactly representable in the bases augmented by the
+    The sum is exactly representable in the bases augmented by the
     components of a and b orthogonal to span(u) and span(v); SVD-truncating
     the augmented core is therefore globally optimal in Frobenius norm.
     Degenerate directions (a in span(u), b in span(v)) simply skip the
-    augmentation, so rank-deficient input never errors.  The scales may
-    be one per stacked slice.
+    augmentation, so rank-deficient input never errors.
     """
     _check_increment(factors, inc)
     u0, s0, v0 = (x.reshape((-1,) + x.shape[-2:]) for x in (factors.u, factors.s, factors.v))
     ua, p_hat, p_norm = _split_against_basis(u0, inc.a.reshape(len(u0), -1))
     vb, q_hat, q_norm = _split_against_basis(v0, inc.b.reshape(len(u0), -1))
-    w = inc.weight * inc_scale
-    if len(u0) > 1:  # a scale per slice
-        core_scale, w = np.reshape(core_scale, (-1, 1, 1)), np.reshape(w, (-1, 1, 1))
-    parts = [u0, s0, v0, core_scale, w, ua, p_hat, p_norm, vb, q_hat, q_norm]
+    w = np.reshape(inc.weight, (-1, 1, 1)) if len(u0) > 1 else inc.weight  # one per slice
+    parts = [u0, s0, v0, w, ua, p_hat, p_norm, vb, q_hat, q_norm]
 
     if len(u0) == 1 or (p_norm.all() and q_norm.all()):  # one kind of slice
         u1, s1, v1 = _combine_core(*parts)
     else:  # the slices grouped by the residual directions they have
-        parts[3:5] = [np.broadcast_to(x, (len(u0), 1, 1)) for x in parts[3:5]]
+        parts[3] = np.broadcast_to(w, (len(u0), 1, 1))
         u1, s1, v1 = np.empty_like(u0), np.empty_like(s0), np.empty_like(v0)
         kinds = (p_norm != 0.0) + 2 * (q_norm != 0.0)
         for idx in (np.flatnonzero(kinds == k) for k in np.unique(kinds)):
@@ -288,14 +260,14 @@ def rank_one_svd_combine(factors: LowRankFactors, inc: RankOneIncrement,
                           v1.reshape(factors.v.shape))
 
 
-def _combine_core(u0, s0, v0, core_scale, w, ua, p_hat, p_norm, vb, q_hat, q_norm):
+def _combine_core(u0, s0, v0, w, ua, p_hat, p_norm, vb, q_hat, q_norm):
     """The combination for slices that all have, or all lack (a zero norm),
     each residual direction."""
     r, with_p, with_q = u0.shape[-1], p_norm[0] != 0.0, q_norm[0] != 0.0
     left = np.concatenate([ua, p_norm[:, None]], axis=1) if with_p else ua
     right = np.concatenate([vb, q_norm[:, None]], axis=1) if with_q else vb
     core = np.zeros((len(u0), left.shape[1], right.shape[1]))
-    core[:, :r, :r] = core_scale * s0
+    core[:, :r, :r] = s0
     core += w * (left[:, :, None] * right[:, None, :])
     uk, sk, vkt = _svd(core)
     u_aug = np.concatenate([u0, p_hat[:, :, None]], axis=2) if with_p else u0

@@ -100,9 +100,6 @@ class ParamState:
     def shape(self) -> tuple[int, ...]:
         return self.weights.shape
 
-    def vec(self) -> np.ndarray:
-        return vec(self.weights)
-
 
 def vec(w: np.ndarray) -> np.ndarray:
     """Flatten an m x n matrix column-major (each matrix of a stack)."""

@@ -81,11 +81,10 @@ class ExactPQState:
 
     max_values = 10_000_000
 
-    def __init__(self, dim: int, eps, max_values: int = max_values):
+    def __init__(self, dim: int, eps):
         self.eps = _check_eps_dim(dim, eps)
         self.p = np.zeros(self.eps.shape + (dim, 0))
         self.q = np.zeros(self.eps.shape + (dim, 0))
-        self.max_values = int(max_values)
 
     @property
     def dim(self) -> int:
@@ -180,13 +179,12 @@ def squared_norm(gbar: np.ndarray):
     return (gbar[:, None, :] @ gbar[:, :, None])[:, 0, 0]
 
 
-def check_exact_budget(steps: int, dim: int,
-                       max_values: int = ExactPQState.max_values) -> None:
+def check_exact_budget(steps: int, dim: int) -> None:
     """Refuse ``steps`` updates of an exact backend of dimension ``dim``."""
-    if steps * 2 * dim > max_values:
+    if steps * 2 * dim > ExactPQState.max_values:
         raise PreconditionerBudgetError(
             f"exact preconditioner would store {steps * 2 * dim} values "
-            f"(budget {max_values}); use a low-rank backend"
+            f"(budget {ExactPQState.max_values}); use a low-rank backend"
         )
 
 
@@ -196,7 +194,7 @@ def update_exact(state: ExactPQState, gbar: np.ndarray) -> ExactPQState:
     Appends beta * gbar to P and (I - Q P^T) gbar to Q.
     """
     gbar = _check_vector(state, gbar)
-    check_exact_budget(state.t + 1, state.eps.size * state.dim, state.max_values)  # the stack's
+    check_exact_budget(state.t + 1, state.eps.size * state.dim)  # the stack's
     norm_sq = (gbar[..., None, :] @ gbar[..., :, None])[..., 0, 0]
     beta = beta_of(alpha_of(norm_sq), norm_sq)
     q_col = gbar - (state.q @ (state.p.swapaxes(-1, -2) @ gbar[..., None]))[..., 0]
@@ -211,32 +209,28 @@ def update_integrator(state: IntegratorState, gbar: np.ndarray,
 
     The increment dA = beta * gbar (gbar^T (I - U S V^T)) is kept factored:
     a = gbar, b = gbar - V S^T U^T gbar, weight = beta.  With a memory
-    weight mu the represented matrix becomes mu * A + (1 - mu) * dA;
+    weight mu the represented matrix becomes mu * A + (1 - mu) * dA, for
+    both variants: the core is scaled by mu and the weight by 1 - mu here;
     without one the increment accumulates unweighted.  gbar must be finite;
     ``norm_sq`` may give ||gbar||^2 as :func:`squared_norm` does.
     """
     gbar = _check_vector(state, gbar)
     if norm_sq is None:
         norm_sq = squared_norm(gbar)
-    factors, hist, inc_scale = state.factors, state.hist, state.inc
+    factors, hist, inc = state.factors, state.hist, state.inc
     if state.live is not None:  # the mu = 1 cells stay as built
         if not state.live.size:
             state.t += 1
             return state
         factors, gbar, norm_sq = factors.take(state.live), gbar[state.live], norm_sq[state.live]
-        hist, inc_scale = hist[state.live], inc_scale[state.live]
+        hist, inc = hist[state.live], inc[state.live]
     beta = beta_of(alpha_of(norm_sq), norm_sq)
     b = gbar - factors.apply_transpose(gbar)
-
-    if state.variant is IntegratorVariant.PROJECTOR_SPLITTING:
-        if hist is not None:
-            factors = LowRankFactors(factors.u, hist[..., None, None] * factors.s, factors.v)
-        weight = beta if inc_scale is None else beta * inc_scale
-        new = projector_splitting_step(factors, RankOneIncrement.trusted(gbar, b, weight))
-    else:
-        new = rank_one_svd_combine(factors, RankOneIncrement.trusted(gbar, b, beta),
-                                   1.0 if hist is None else hist,
-                                   1.0 if inc_scale is None else inc_scale)
+    if hist is not None:
+        factors = LowRankFactors(factors.u, hist[..., None, None] * factors.s, factors.v)
+    step = (projector_splitting_step if state.variant is IntegratorVariant.PROJECTOR_SPLITTING
+            else rank_one_svd_combine)
+    new = step(factors, RankOneIncrement.trusted(gbar, b, beta if inc is None else beta * inc))
     if state.live is not None:
         f = state.factors
         f.u[state.live], f.s[state.live], f.v[state.live] = new.u, new.s, new.v

@@ -7,7 +7,21 @@ factored code paths under test.
 
 import numpy as np
 
+from adagram.lowrank import LowRankFactors, RankOneIncrement, rank_one_svd_combine
 from adagram.precond import apply_inverse
+
+
+def materialize(factors: LowRankFactors) -> np.ndarray:
+    """Dense u @ s @ v.T of low-rank factors (or of each of a stack)."""
+    return factors.u @ factors.s @ factors.v.swapaxes(-1, -2)
+
+
+def truncated_svd_update(factors: LowRankFactors, inc: RankOneIncrement,
+                         mu: float) -> LowRankFactors:
+    """Best rank-r approximation of mu * A + (1 - mu) * dA: the core scaled
+    by mu and the increment weight by 1 - mu, as the preconditioner does."""
+    return rank_one_svd_combine(LowRankFactors(factors.u, mu * factors.s, factors.v),
+                                RankOneIncrement(inc.a, inc.b, (1.0 - mu) * inc.weight))
 
 
 def materialize_inverse(state) -> np.ndarray:

@@ -23,8 +23,11 @@ from adagram import glm
 from adagram.bench import (
     DEFAULT_GRID,
     ExperimentConfig,
+    gradient_error,
     grid_search,
+    isometry_errors,
     run_experiment,
+    splitting_gap,
     write_summary_tsv,
 )
 from adagram.data import (
@@ -45,19 +48,9 @@ from adagram.optim import (
     shampoo_step,
     ShampooState,
 )
-from adagram.precond import (
-    ExactPQState,
-    IntegratorState,
-    IntegratorVariant,
-    alpha_of,
-    apply_inverse,
-    beta_of,
-    preconditioned_direction,
-    update_exact,
-    update_integrator,
-)
+from adagram.precond import ExactPQState, alpha_of, apply_inverse, beta_of, update_exact
 
-from helpers import dense_gram, materialize_inverse
+from helpers import materialize_inverse
 
 
 def _report(num, name, passed, detail=""):
@@ -75,32 +68,11 @@ def _report(num, name, passed, detail=""):
 @pytest.fixture(scope="module")
 def isometry_scan():
     rng = np.random.default_rng(20250809)
-    eps_values = (1e-2, 1e-1, 1.0)
-    worst_isometry = 0.0
-    worst_theorem1 = 0.0
+    # Each sequence draws its size and length as the scan reaches it.
+    sequences = (((1e-2, 1e-1, 1.0)[seq % 3], int(rng.integers(4, 33)), int(rng.integers(8, 65)))
+                 for seq in range(100))
     t0 = time.perf_counter()
-    for seq in range(100):
-        eps = eps_values[seq % 3]
-        n = int(rng.integers(4, 33))
-        steps = int(rng.integers(8, 65))
-        state = ExactPQState(n, eps)
-        gram = eps * np.eye(n)
-        for _ in range(steps):
-            g = rng.standard_normal(n)
-            gbar = apply_inverse(state, g)
-            direction = preconditioned_direction(gbar)
-            update_exact(state, gbar)
-            gram += np.outer(g, g)
-            # Theorem-level identity: rescaled direction equals the
-            # post-update inverse image of the same gradient.
-            worst_theorem1 = max(
-                worst_theorem1,
-                float(np.abs(direction - apply_inverse(state, g)).max()),
-            )
-            v = rng.standard_normal(n)
-            lhs = float(np.sum(apply_inverse(state, v) ** 2))
-            ref = float(v @ np.linalg.solve(gram, v))
-            worst_isometry = max(worst_isometry, abs(lhs - ref) / abs(ref))
+    worst_isometry, worst_theorem1 = isometry_errors(rng, sequences)
     return worst_isometry, worst_theorem1, time.perf_counter() - t0
 
 
@@ -139,19 +111,7 @@ def test_criterion_3_factor_chain_identity():
 
 
 def test_criterion_4_splitting_exactness_and_trajectory():
-    rng = np.random.default_rng(11)
-    worst_gap = 0.0
-    for n in (8, 16, 32):
-        steps = 8
-        exact = ExactPQState(n, eps=0.5)
-        integ = IntegratorState(n, eps=0.5, rank=steps,
-                                variant=IntegratorVariant.PROJECTOR_SPLITTING)
-        for _ in range(steps):
-            g = rng.standard_normal(n)
-            update_exact(exact, apply_inverse(exact, g))
-            update_integrator(integ, apply_inverse(integ, g))
-        gap = np.linalg.norm(exact.p @ exact.q.T - integ.factors.materialize())
-        worst_gap = max(worst_gap, float(gap))
+    worst_gap = splitting_gap(np.random.default_rng(11), (8, 16, 32), steps=8, eps=0.5)
 
     base = dict(
         dataset="synthetic:isotropic", batch_size=32, epochs=4, seed=0,
@@ -184,14 +144,7 @@ def test_criterion_5_glm_derivative_checks():
     batch = glm.Batch(x, y)
     model = glm.GlmModel(theta, glm.Link.SIGMOID)
 
-    grad = glm.gradient(model, batch)
-    worst_grad = 0.0
-    for j in range(n):
-        shift = np.zeros((1, n))
-        shift[0, j] = h
-        fp = glm.loss(glm.GlmModel(theta + shift, glm.Link.SIGMOID), batch)
-        fm = glm.loss(glm.GlmModel(theta - shift, glm.Link.SIGMOID), batch)
-        worst_grad = max(worst_grad, abs((fp - fm) / (2 * h) - grad[0, j]))
+    worst_grad = gradient_error(model, batch, h)
 
     hess = glm.batch_hessian(model, batch)
     hfd = 1e-4

@@ -358,12 +358,60 @@ class TestGridSearch:
 
     def test_parallel_matches_serial(self):
         base = make_cfg(epochs=2)
-        space = {"learning_rate": [0.05, 0.2], "eps": [1e-2, 1.0]}
+        # Two batch sizes make two stacks, one for each worker.
+        space = {"learning_rate": [0.05, 0.2], "eps": [1e-2, 1.0], "batch_size": [16, 32]}
         serial = grid_search(space, base, max_workers=1)
         parallel = grid_search(space, base, max_workers=2)
         a = [(config_hash(c), r.final_train_loss) for c, r in serial.entries]
         b = [(config_hash(c), r.final_train_loss) for c, r in parallel.entries]
         assert a == b
+
+    def test_workers_bounded_by_stacks(self, monkeypatch):
+        started = []
+
+        class FakePool:  # records the processes a pool would start, starts none
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(bench_mod.concurrent.futures, "ProcessPoolExecutor", FakePool)
+        base = make_cfg(epochs=1)
+        two_stacks = {"learning_rate": [0.1, 0.2], "batch_size": [16, 32]}
+        pooled = grid_search(two_stacks, base, max_workers=8)
+        assert started == [2]
+        grid_search({"learning_rate": [0.1, 0.2]}, base, max_workers=8)  # one stack
+        assert started == [2]
+        serial = grid_search(two_stacks, base)
+        assert [rows_without_wall_clock(r) for _, r in pooled.entries] == \
+            [rows_without_wall_clock(r) for _, r in serial.entries]
+        with pytest.raises(ConfigError, match="workers"):
+            grid_search(two_stacks, base, max_workers=0)
+        assert started == [2]
+
+    def test_duplicate_values_name_one_cell(self, tmp_path):
+        grid_file = tmp_path / "grid.cfg"
+        grid_file.write_text("lr = 0.1, 0.10, 1e-1\n")
+        out_dir = tmp_path / "results"
+        code = cli_main([
+            "--dataset", "synthetic:isotropic", "--optimizer", "sgd", "--epochs", "1",
+            "--n-samples", "120", "--n-features", "5",
+            "--grid", str(grid_file), "--out", str(out_dir),
+        ])
+        assert code == 0
+        assert len([f for f in os.listdir(out_dir) if f.endswith(".csv")]) == 1
+        rows = (out_dir / "summary.tsv").read_text().splitlines()[1:]
+        assert [r.split("\t")[-1] for r in rows] == ["*"]
+        # The first of the values that name one cell places it.
+        cfgs = expand_grid({"learning_rate": [0.2, 0.1, 0.20, 1e-1]}, make_cfg())
+        assert [c.optimizer.learning_rate for c in cfgs] == [0.2, 0.1]
 
     def test_empty_space_rejected(self):
         with pytest.raises(ConfigError, match="empty"):
@@ -398,6 +446,13 @@ class TestInvariantSuite:
         report = run_invariant_suite(quiet=True)
         failed = {r.name for r in report.results if not r.passed}
         assert "isometry" in failed
+
+    def test_nan_error_fails_its_check(self, monkeypatch):
+        # A NaN gradient gives NaN errors, which must not read as 0.
+        real_gradient = bench_mod.glm.gradient
+        monkeypatch.setattr(bench_mod.glm, "gradient", lambda m, b: np.nan * real_gradient(m, b))
+        report = run_invariant_suite(quiet=True)
+        assert {r.name for r in report.results if not r.passed} == {"gradient_check"}
 
     def test_runtime_budget(self):
         import time
@@ -483,6 +538,23 @@ class TestCli:
     def test_verify_passes(self, capsys):
         assert cli_main(["--verify"]) == 0
         assert "PASS" in capsys.readouterr().out
+
+    def test_verify_failure_exit_code(self, monkeypatch, capsys):
+        real_beta = precond_mod.beta_of
+        monkeypatch.setattr(precond_mod, "beta_of", lambda a, s: 2.0 * real_beta(a, s))
+        assert cli_main(["--verify"]) == 4
+        assert "FAIL isometry" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_one_is_config_error(self, workers, tmp_path, capsys):
+        grid_file = tmp_path / "grid.cfg"
+        grid_file.write_text("lr = 0.05, 0.2\n")
+        code = cli_main([
+            "--dataset", "synthetic:isotropic", "--optimizer", "sgd", "--epochs", "1",
+            "--grid", str(grid_file), "--workers", workers,
+        ])
+        assert code == 2
+        assert "workers must be >= 1" in capsys.readouterr().err
 
     def test_grid_mode(self, tmp_path):
         grid_file = tmp_path / "grid.cfg"

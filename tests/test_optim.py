@@ -120,10 +120,10 @@ class TestAdaGradFull:
         for _ in range(10):
             grad = rng.standard_normal((2, 2))
             grads.append(vec(grad))
-            prev = params.vec()
+            prev = vec(params.weights)
             params = adagrad_full_step(params, grad, state, c)
             expected = prev - sym_inv_sqrt(dense_gram(eps, grads)) @ grads[-1]
-            np.testing.assert_allclose(params.vec(), expected, atol=1e-10)
+            np.testing.assert_allclose(vec(params.weights), expected, atol=1e-10)
 
     def test_dimension_cap(self):
         with pytest.raises(ValueError, match="capped"):
@@ -220,9 +220,9 @@ class TestAdaGramStep:
         for _ in range(steps):
             grad = rng.standard_normal((m, n))
             grads.append(vec(grad))
-            prev = params.vec()
+            prev = vec(params.weights)
             params = opt.step(params, grad)
-            lhs = np.linalg.norm(params.vec() - prev) / c.learning_rate
+            lhs = np.linalg.norm(vec(params.weights) - prev) / c.learning_rate
             ref = np.linalg.norm(sym_inv_sqrt(dense_gram(eps, grads)) @ grads[-1])
             assert abs(lhs - ref) <= 1e-8 * ref
 

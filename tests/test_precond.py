@@ -19,7 +19,7 @@ from adagram.precond import (
     update_integrator,
 )
 
-from helpers import dense_gram, materialize_inverse
+from helpers import best_rank_r, dense_gram, materialize, materialize_inverse
 
 SQ2 = math.sqrt(2.0)
 
@@ -106,19 +106,23 @@ class TestUpdateExact:
         assert state.t == 1
         np.testing.assert_allclose(materialize_inverse(state), before, atol=1e-15)
 
-    def test_budget_refusal(self):
-        state = ExactPQState(10, eps=1.0, max_values=50)
+    def test_budget_refusal(self, monkeypatch):
+        monkeypatch.setattr(ExactPQState, "max_values", 50)
+        state = ExactPQState(10, eps=1.0)
         update_exact(state, np.ones(10))  # 20 values, fine
         update_exact(state, np.ones(10))  # 40 values, fine
         with pytest.raises(PreconditionerBudgetError):
             update_exact(state, np.ones(10))  # would hit 60
 
-    def test_budget_known_before_the_first_update(self):
-        # 2 * dim values per step against the class-wide default budget.
+    def test_budget_known_before_the_first_update(self, monkeypatch):
+        # 2 * dim values per step against the class-wide budget.
         check_exact_budget(ExactPQState.max_values // 2000, 1000)
         with pytest.raises(PreconditionerBudgetError, match="budget 10000000"):
             check_exact_budget(ExactPQState.max_values // 2000 + 1, 1000)
-        check_exact_budget(3, 10, max_values=60)
+        monkeypatch.setattr(ExactPQState, "max_values", 60)
+        check_exact_budget(3, 10)
+        with pytest.raises(PreconditionerBudgetError, match="budget 60"):
+            check_exact_budget(4, 10)
 
 
 class TestIsometry:
@@ -192,16 +196,16 @@ class TestUpdateIntegrator:
         update_integrator(integ, apply_inverse(integ, e1))
         target = (1 - 1 / SQ2) * np.outer(e1, e1)
         np.testing.assert_allclose(exact.p @ exact.q.T, target, atol=1e-14)
-        assert np.linalg.norm(integ.factors.materialize() - target) <= 1e-12
+        assert np.linalg.norm(materialize(integ.factors) - target) <= 1e-12
 
     def test_mu_one_freezes_matrix(self):
         rng = np.random.default_rng(7)
         for variant in IntegratorVariant:
             state = IntegratorState(6, eps=1.0, rank=2, variant=variant, mu=1.0)
             update_integrator(state, rng.standard_normal(6))
-            before = state.factors.materialize()
+            before = materialize(state.factors)
             update_integrator(state, rng.standard_normal(6))
-            assert np.linalg.norm(state.factors.materialize() - before) <= 1e-12
+            assert np.linalg.norm(materialize(state.factors) - before) <= 1e-12
 
     @pytest.mark.parametrize("variant", list(IntegratorVariant))
     def test_mu_one_leaves_factors_untouched(self, variant):
@@ -222,29 +226,32 @@ class TestUpdateIntegrator:
             g = rng.standard_normal(n)
             update_exact(exact, apply_inverse(exact, g))
             update_integrator(integ, apply_inverse(integ, g))
-        gap = np.linalg.norm(exact.p @ exact.q.T - integ.factors.materialize())
+        gap = np.linalg.norm(exact.p @ exact.q.T - materialize(integ.factors))
         assert gap <= 1e-9
 
-    def test_mu_mixes_history_and_increment(self):
+    @pytest.mark.parametrize("variant,rank", [
+        (IntegratorVariant.PROJECTOR_SPLITTING, 6),
+        (IntegratorVariant.TRUNCATED_SVD, 6),
+        (IntegratorVariant.TRUNCATED_SVD, 3),
+    ], ids=["ps-6", "fr-6", "fr-3"])
+    def test_mu_mixes_history_and_increment(self, variant, rank):
         # One step from a known state: A1 = mu*A0 + (1-mu)*dA, checked densely.
+        # The target has rank <= 4: rank 6 holds it exactly, rank 3 truncates.
         rng = np.random.default_rng(9)
         n, mu = 8, 0.7
-        state = IntegratorState(n, eps=1.0, rank=3,
-                                variant=IntegratorVariant.TRUNCATED_SVD, mu=mu)
+        state = IntegratorState(n, eps=1.0, rank=rank, variant=variant, mu=mu)
         for _ in range(3):
             update_integrator(state, rng.standard_normal(n))
-        a0 = state.factors.materialize()
+        a0 = materialize(state.factors)
         gbar = rng.standard_normal(n)
         norm_sq = float(gbar @ gbar)
         beta = beta_of(alpha_of(norm_sq), norm_sq)
         da = beta * np.outer(gbar, gbar @ (np.eye(n) - a0))
         update_integrator(state, gbar)
         target = mu * a0 + (1 - mu) * da
-        # rank 3 cannot be exceeded by target rank <= 4; allow truncation gap
-        from helpers import best_rank_r
-        assert np.linalg.norm(
-            state.factors.materialize() - best_rank_r(target, 3)
-        ) <= 1e-10
+        if rank < 4:
+            target = best_rank_r(target, rank)
+        assert np.linalg.norm(materialize(state.factors) - target) <= 1e-10
 
     def test_orthonormality_preserved_over_many_steps(self):
         rng = np.random.default_rng(10)
