@@ -595,25 +595,66 @@ def gradient_error(model: glm.GlmModel, batch: glm.Batch, h: float) -> float:
     return worst
 
 
-def run_invariant_suite(seed: int = 20250809, quiet: bool = False) -> InvariantReport:
-    """Run acceptance criteria 1, 2, 4 and 5 at small scans and fixed seeds.
+def truncation_gap(rng: np.random.Generator, dims, rank: int, steps: int,
+                   mu: float, eps: float = 0.1) -> float:
+    """Worst Frobenius gap, relative to the target's norm, between a
+    truncated-SVD integrator of rank ``rank`` with memory weight ``mu`` and
+    the dense best rank-r approximation of the matrix it truncates at each
+    of ``steps`` steps: mu * A + (1 - mu) * dA, built from its state and
+    gradient as :func:`precond.update_integrator` defines them."""
+    worst = 0.0
+    for n in dims:
+        state = precond.IntegratorState(n, eps, rank, precond.IntegratorVariant.TRUNCATED_SVD, mu)
+        for _ in range(steps):
+            gbar = precond.apply_inverse(state, rng.standard_normal(n))
+            f = state.factors
+            a = f.u @ f.s @ f.v.T
+            norm_sq = float(gbar @ gbar)
+            beta = precond.beta_of(precond.alpha_of(norm_sq), norm_sq)
+            target = mu * a + (1.0 - mu) * beta * np.outer(gbar, gbar - a.T @ gbar)
+            u, s, vt = np.linalg.svd(target)
+            precond.update_integrator(state, gbar)
+            f = state.factors
+            gap = np.linalg.norm(f.u @ f.s @ f.v.T - (u[:, :rank] * s[:rank]) @ vt[:rank])
+            worst = np.maximum(worst, gap / np.linalg.norm(target))
+    return worst
 
-    Prints one PASS/FAIL line per invariant unless quiet.
+
+def run_invariant_suite(seed: int = 20250809, quiet: bool = False) -> InvariantReport:
+    """Run acceptance criteria 1, 2, 4 and 5 and the truncated SVD's
+    optimality at small scans and fixed seeds.
+
+    Prints one PASS/FAIL line per invariant unless quiet.  A scan that
+    raises fails each of its checks, with the exception as the detail.
     """
-    isometry, direction = isometry_errors(np.random.default_rng(seed),
-                                          [(eps, 12, 24) for eps in (1e-2, 1e-1, 1.0)])
-    gap = splitting_gap(np.random.default_rng(seed + 1), (12,), 6, 1e-1)
-    rng = np.random.default_rng(seed + 2)
-    batch = glm.Batch(rng.standard_normal((12, 6)), rng.integers(0, 2, 12))
-    grad = gradient_error(glm.GlmModel(rng.standard_normal((1, 6)), glm.Link.SIGMOID),
-                          batch, 1e-5)
-    report = InvariantReport([
-        InvariantResult("isometry", isometry <= 1e-8, f"max relative error {isometry:.3e}"),
-        InvariantResult("rescaled_direction", direction <= 1e-10,
-                        f"max abs error {direction:.3e}"),
-        InvariantResult("splitting_exactness", gap <= 1e-8, f"Frobenius gap {gap:.3e}"),
-        InvariantResult("gradient_check", grad <= 1e-6, f"max abs error {grad:.3e}"),
-    ])
+    def gradient_scan():
+        rng = np.random.default_rng(seed + 2)
+        batch = glm.Batch(rng.standard_normal((12, 6)), rng.integers(0, 2, 12))
+        model = glm.GlmModel(rng.standard_normal((1, 6)), glm.Link.SIGMOID)
+        return (gradient_error(model, batch, 1e-5),)
+
+    scans = (  # each scan, and the name, bound and label of each value it gives
+        (lambda: isometry_errors(np.random.default_rng(seed),
+                                 [(eps, 12, 24) for eps in (1e-2, 1e-1, 1.0)]),
+         (("isometry", 1e-8, "max relative error"),
+          ("rescaled_direction", 1e-10, "max abs error"))),
+        (lambda: (splitting_gap(np.random.default_rng(seed + 1), (12,), 6, 1e-1),),
+         (("splitting_exactness", 1e-8, "Frobenius gap"),)),
+        (gradient_scan, (("gradient_check", 1e-6, "max abs error"),)),
+        (lambda: (truncation_gap(np.random.default_rng(seed + 3), (12,), 3, 16, 0.9),),
+         (("truncation_optimality", 1e-10, "max relative gap"),)),
+    )
+    results = []
+    for scan, checks in scans:
+        try:
+            values = scan()
+        except Exception as exc:  # a defect that raises fails its checks
+            results += [InvariantResult(name, False, f"{type(exc).__name__}: {exc}")
+                        for name, _, _ in checks]
+            continue
+        results += [InvariantResult(name, value <= bound, f"{label} {value:.3e}")
+                    for (name, bound, label), value in zip(checks, values)]
+    report = InvariantReport(results)
     if not quiet:
         for r in report.results:
             print(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}")

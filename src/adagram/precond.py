@@ -153,6 +153,8 @@ def apply_inverse(state: PreconditionerState, g: np.ndarray) -> np.ndarray:
         if state.t == 0:
             return y
         return y - (state.p @ (state.q.swapaxes(-1, -2) @ y[..., None]))[..., 0]
+    if state.live is not None and not state.live.size:  # every cell has mu = 1: A = 0
+        return y
     return y - state.factors.apply(y)
 
 

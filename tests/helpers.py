@@ -24,6 +24,43 @@ def truncated_svd_update(factors: LowRankFactors, inc: RankOneIncrement,
                                 RankOneIncrement(inc.a, inc.b, (1.0 - mu) * inc.weight))
 
 
+def gesdd_combine(factors: LowRankFactors, inc: RankOneIncrement) -> LowRankFactors:
+    """Best rank-r approximation of A + dA by a full SVD of the augmented
+    (r+1) x (r+1) core, for unstacked factors: the truncation that
+    ``rank_one_svd_combine`` keeps only as its fallback, as an oracle."""
+    u0, s0, v0 = factors.u, factors.s, factors.v
+    n, r = u0.shape
+
+    def split(basis, vec):
+        coeff = basis.T @ vec
+        resid = vec - basis @ coeff
+        correction = basis.T @ resid
+        resid -= basis @ correction
+        norm = np.linalg.norm(resid)
+        if r == n or norm <= 1e-12 * max(1.0, np.linalg.norm(vec)):
+            return coeff + correction, basis
+        return np.append(coeff + correction, norm), np.column_stack([basis, resid / norm])
+
+    left, u_aug = split(u0, inc.a)
+    right, v_aug = split(v0, inc.b)
+    core = np.zeros((len(left), len(right)))
+    core[:r, :r] = s0
+    core += inc.weight * np.outer(left, right)
+    uk, sk, vkt = np.linalg.svd(core, full_matrices=False)
+    return LowRankFactors(u_aug @ uk[:, :r], np.diag(sk[:r]), v_aug @ vkt[:r].T)
+
+
+def factored_gap(f: LowRankFactors, g: LowRankFactors) -> float:
+    """||u s v^T - U S V^T||_F of two factorizations with orthonormal bases,
+    without an n x n array: with U = u C + W and V = v D + Z, where W is
+    orthogonal to u and Z to v, the difference splits into three mutually
+    orthogonal parts, (s - C S D^T), C S Z^T and W S V^T."""
+    c, d = f.u.T @ g.u, f.v.T @ g.v
+    w, z = g.u - f.u @ c, g.v - f.v @ d
+    return float(np.sqrt(np.linalg.norm(f.s - c @ g.s @ d.T) ** 2
+                         + np.linalg.norm(z @ (c @ g.s).T) ** 2 + np.linalg.norm(w @ g.s) ** 2))
+
+
 def materialize_inverse(state) -> np.ndarray:
     """Dense matrix of the inverse-factor action, column by column."""
     n = state.dim

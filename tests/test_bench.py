@@ -240,6 +240,20 @@ class TestPreparedData:
         # one stack per (batch size, rank).
         assert len(calls) == 2 * 2 * (10 + 3)
 
+    @pytest.mark.parametrize("kind", [OptimizerKind.ADAGRAM_PS, OptimizerKind.ADAGRAM_FR])
+    def test_mu_one_never_contracts_with_the_factors(self, monkeypatch, kind):
+        # At mu = 1 in every cell the factors stay zero, so the inverse
+        # factor is y = g / sqrt(eps) with no contraction.
+        import adagram.lowrank as lowrank_mod
+
+        calls = []
+        real = lowrank_mod.LowRankFactors.apply
+        monkeypatch.setattr(lowrank_mod.LowRankFactors, "apply",
+                            lambda self, x: calls.append(1) or real(self, x))
+        grid_search({"mu": [1.0], "learning_rate": [0.1, 1.0]},
+                    make_cfg(kind=kind, rank=2, epochs=2, dataset="synthetic:dense"))
+        assert calls == []
+
     def test_stack_of_unlike_cells_refused(self):
         a, b = make_cfg(batch_size=16), make_cfg(batch_size=64)
         with pytest.raises(ConfigError, match="stack"):
@@ -439,6 +453,21 @@ class TestInvariantSuite:
         out = capsys.readouterr().out
         assert out.count("PASS") == len(report.results)
 
+    def test_checks_in_order(self):
+        names = [r.name for r in run_invariant_suite(quiet=True).results]
+        assert names == ["isometry", "rescaled_direction", "splitting_exactness",
+                         "gradient_check", "truncation_optimality"]
+
+    def test_raising_scan_fails_its_checks(self, monkeypatch):
+        # A NaN beta makes the next update raise; the checks of each scan
+        # that raises fail with the exception, and the others still run.
+        monkeypatch.setattr(precond_mod, "beta_of", lambda a, s: np.nan * s)
+        report = run_invariant_suite(quiet=True)
+        failed = {r.name: r.detail for r in report.results if not r.passed}
+        assert {"isometry", "rescaled_direction", "splitting_exactness"} <= set(failed)
+        assert failed["isometry"].startswith("ValueError: squared norm must be finite")
+        assert "gradient_check" not in failed
+
     def test_corrupted_beta_fails_isometry(self, monkeypatch):
         # Injecting beta <- 2*beta must break the isometry invariant.
         real_beta = precond_mod.beta_of
@@ -544,6 +573,13 @@ class TestCli:
         monkeypatch.setattr(precond_mod, "beta_of", lambda a, s: 2.0 * real_beta(a, s))
         assert cli_main(["--verify"]) == 4
         assert "FAIL isometry" in capsys.readouterr().out
+
+    def test_verify_raising_check_exit_code(self, monkeypatch, capsys):
+        monkeypatch.setattr(precond_mod, "beta_of", lambda a, s: np.nan * s)
+        assert cli_main(["--verify"]) == 4
+        out, err = capsys.readouterr()
+        assert "FAIL isometry: ValueError: squared norm must be finite" in out
+        assert "Traceback" not in out + err
 
     @pytest.mark.parametrize("workers", ["0", "-1"])
     def test_workers_below_one_is_config_error(self, workers, tmp_path, capsys):

@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+import adagram.lowrank as lowrank_mod
+import adagram.precond as precond_mod
+from adagram.bench import truncation_gap
 from adagram.lowrank import (
     LowRankFactors,
     RankOneIncrement,
@@ -12,7 +15,16 @@ from adagram.lowrank import (
     zero_factors,
 )
 
-from helpers import best_rank_r, materialize, random_orthonormal, truncated_svd_update
+from adagram.precond import IntegratorState, IntegratorVariant, apply_inverse, update_integrator
+
+from helpers import (
+    best_rank_r,
+    factored_gap,
+    gesdd_combine,
+    materialize,
+    random_orthonormal,
+    truncated_svd_update,
+)
 
 
 def random_factors(rng, n, r, core_rank=None):
@@ -22,6 +34,22 @@ def random_factors(rng, n, r, core_rank=None):
     if core_rank is not None and core_rank < r:
         s[core_rank:, :] = 0.0
     return LowRankFactors(u, s, v)
+
+
+def tied_case(rng, n, r):
+    """Factors and an increment whose (r+1) x (r+1) augmented core has
+    sigma_r = sigma_{r+1}, with the dense sum they represent."""
+    sing = np.arange(r + 1.0, 0.0, -1.0)
+    sing[-1] = sing[-2]
+    core = (random_orthonormal(rng, r + 1, r + 1) * sing) @ random_orthonormal(rng, r + 1, r + 1).T
+    w = float(np.sign(core[r, r]))
+    p = q = np.sqrt(abs(core[r, r]))  # core[r, r] = w p q
+    ua, vb = core[:r, r] / (w * q), core[r, :r] / (w * p)
+    u_aug, v_aug = random_orthonormal(rng, n, r + 1), random_orthonormal(rng, n, r + 1)
+    factors = LowRankFactors(u_aug[:, :r].copy(), core[:r, :r] - w * np.outer(ua, vb),
+                             v_aug[:, :r].copy())
+    inc = RankOneIncrement(u_aug[:, :r] @ ua + p * u_aug[:, r], v_aug[:, :r] @ vb + q * v_aug[:, r], w)
+    return factors, inc, u_aug @ core @ v_aug.T
 
 
 def assert_orthonormal(mat, tol=1e-10):
@@ -199,6 +227,8 @@ class TestTruncatedSvdUpdate:
     def test_stacked_slices_match_each_slice_alone(self):
         # Generic, a in span(U), b in span(V), both, and generic again: the
         # stack groups its slices by case, and each gets its bits alone.
+        # Then a tied core, which falls back to the SVD, beside a generic
+        # one, which deflates: the generic group mixes both paths.
         rng = np.random.default_rng(14)
         n, r = 8, 3
         alone = [random_factors(rng, n, r) for _ in range(5)]
@@ -212,6 +242,9 @@ class TestTruncatedSvdUpdate:
         mus = np.linspace(0.5, 1.0, 5)
         alone = [LowRankFactors(f.u, mu * f.s, f.v) for f, mu in zip(alone, mus)]
         incs = [RankOneIncrement(i.a, i.b, (1.0 - mu) * i.weight) for i, mu in zip(incs, mus)]
+        tied, tied_inc, _ = tied_case(rng, n, r)
+        alone += [tied, random_factors(rng, n, r)]
+        incs += [tied_inc, RankOneIncrement(rng.standard_normal(n), rng.standard_normal(n), 0.3)]
         stack = LowRankFactors(*(np.stack([getattr(f, x) for f in alone]) for x in "usv"))
         out = rank_one_svd_combine(
             stack, RankOneIncrement(np.stack([i.a for i in incs]), np.stack([i.b for i in incs]),
@@ -220,6 +253,106 @@ class TestTruncatedSvdUpdate:
             one = rank_one_svd_combine(f, inc)
             for x in "usv":
                 assert getattr(out, x)[k].tobytes() == getattr(one, x).tobytes()
+
+
+class TestDeflation:
+    """The truncated SVD drops the core's smallest triplet by deflation and
+    falls back to a full SVD of the core where that triplet is not found."""
+
+    @staticmethod
+    def count_svd(monkeypatch):
+        cores = []
+        real = lowrank_mod._svd
+        monkeypatch.setattr(lowrank_mod, "_svd", lambda core: cores.append(len(core)) or real(core))
+        return cores
+
+    @pytest.mark.parametrize("mu", [None, 0.9, 0.99])
+    @pytest.mark.parametrize("rank,dim", [(1, 15), (5, 15), (1, 256), (5, 256), (48, 256),
+                                          (1, 1024), (5, 1024), (48, 1024)])
+    def test_matches_gesdd_oracle_per_step(self, monkeypatch, rank, dim, mu):
+        # Each step of a preconditioner run against the full-SVD truncation
+        # of the same input; in factored form at mn 1024.
+        gaps, ortho, seen = [], [], []
+        real = lowrank_mod.rank_one_svd_combine
+
+        def compared(factors, inc):
+            out = real(factors, inc)
+            ref = gesdd_combine(factors, inc)
+            if dim > 256:
+                gaps.append(factored_gap(out, ref) / np.linalg.norm(ref.s))
+            else:
+                gaps.append(np.linalg.norm(materialize(out) - materialize(ref))
+                            / np.linalg.norm(ref.s))
+            eye = np.eye(rank)
+            ortho.append(max(np.linalg.norm(out.u.T @ out.u - eye),
+                             np.linalg.norm(out.v.T @ out.v - eye)))
+            return out
+
+        monkeypatch.setattr(precond_mod, "rank_one_svd_combine", compared)
+        fallbacks = self.count_svd(monkeypatch)
+        rng = np.random.default_rng(rank * dim)
+        state = IntegratorState(dim, 1e-2, rank, IntegratorVariant.TRUNCATED_SVD, mu)
+        steps = max(3 * rank, 10)
+        for _ in range(steps):
+            update_integrator(state, apply_inverse(state, rng.standard_normal(dim)))
+        assert len(gaps) == steps
+        assert max(gaps) <= 1e-12
+        assert max(ortho) <= 1e-13
+        if mu is not None:  # without mu the spectrum clusters near 1: near ties
+            assert sum(fallbacks) <= steps // 4  # most steps deflate
+
+    @pytest.mark.parametrize("r", [1, 3, 6])
+    def test_tied_core_falls_back_to_an_optimal_truncation(self, monkeypatch, r):
+        rng = np.random.default_rng(30 + r)
+        n = 12
+        factors, inc, target = tied_case(rng, n, r)
+        fallbacks = self.count_svd(monkeypatch)
+        out = rank_one_svd_combine(factors, inc)
+        assert fallbacks == [1]
+        best = np.linalg.norm(target - best_rank_r(target, r))
+        assert abs(np.linalg.norm(target - materialize(out)) - best) <= 1e-12 * best
+        assert np.linalg.matrix_rank(materialize(out)) == r
+        assert_orthonormal(out.u, tol=1e-13)
+        assert_orthonormal(out.v, tol=1e-13)
+
+    def test_inexact_triplet_fails_the_residual_test(self, monkeypatch):
+        # An inverse off by up to 1e-8 still squares to a rank-one B, but
+        # its triplet misses M by far more than the residual bound: the core
+        # falls back to the SVD, and the result is the oracle's.
+        rng = np.random.default_rng(43)
+        factors = random_factors(rng, 12, 4)
+        inc = RankOneIncrement(rng.standard_normal(12), rng.standard_normal(12), 0.8)
+        fallbacks = self.count_svd(monkeypatch)
+        rank_one_svd_combine(factors, inc)
+        assert fallbacks == []  # deflates with the exact inverse
+        real = lowrank_mod._inverse
+        off = 1.0 + 1e-8 * rng.uniform(-1.0, 1.0, (5, 5))
+        monkeypatch.setattr(lowrank_mod, "_inverse", lambda m: (real(m)[0] * off, 0))
+        out = rank_one_svd_combine(factors, inc)
+        assert fallbacks == [1]
+        ref = gesdd_combine(factors, inc)
+        assert factored_gap(out, ref) <= 1e-12 * np.linalg.norm(ref.s)
+
+    @pytest.mark.parametrize("r", [1, 4])
+    def test_first_step_from_zero_factors(self, r):
+        rng = np.random.default_rng(40 + r)
+        n = 10
+        a, b = rng.standard_normal(n), rng.standard_normal(n)
+        out = rank_one_svd_combine(zero_factors(n, r), RankOneIncrement(a, b, 0.7))
+        np.testing.assert_allclose(materialize(out), 0.7 * np.outer(a, b), atol=1e-13)
+        assert_orthonormal(out.u, tol=1e-13)
+        assert_orthonormal(out.v, tol=1e-13)
+
+    def test_non_finite_core_gives_nan(self):
+        rng = np.random.default_rng(41)
+        factors = random_factors(rng, 8, 3)
+        inc = RankOneIncrement.trusted(rng.standard_normal(8), rng.standard_normal(8), np.nan)
+        out = rank_one_svd_combine(factors, inc)
+        assert np.isnan(out.u).all() and np.isnan(out.v).all()
+
+    def test_truncation_gap_scan(self):
+        # The scan behind --verify's truncation_optimality, at its own seed.
+        assert truncation_gap(np.random.default_rng(42), (9, 20), 4, 15, 0.9) <= 1e-11
 
 
 class TestFactorsHousekeeping:

@@ -198,6 +198,15 @@ class TestUpdateIntegrator:
         np.testing.assert_allclose(exact.p @ exact.q.T, target, atol=1e-14)
         assert np.linalg.norm(materialize(integ.factors) - target) <= 1e-12
 
+    @pytest.mark.parametrize("variant", list(IntegratorVariant))
+    def test_mu_one_inverse_is_the_scaled_gradient(self, variant):
+        rng = np.random.default_rng(11)
+        state = IntegratorState(6, eps=[0.5, 2.0], rank=2, variant=variant, mu=[1.0, 1.0])
+        for _ in range(3):
+            g = rng.standard_normal((2, 6))
+            assert np.array_equal(apply_inverse(state, g), g / np.sqrt([[0.5], [2.0]]))
+            update_integrator(state, g)
+
     def test_mu_one_freezes_matrix(self):
         rng = np.random.default_rng(7)
         for variant in IntegratorVariant:
