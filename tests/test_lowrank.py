@@ -272,7 +272,7 @@ class TestDeflation:
     def test_matches_gesdd_oracle_per_step(self, monkeypatch, rank, dim, mu):
         # Each step of a preconditioner run against the full-SVD truncation
         # of the same input; in factored form at mn 1024.
-        gaps, ortho, seen = [], [], []
+        gaps, ortho = [], []
         real = lowrank_mod.rank_one_svd_combine
 
         def compared(factors, inc):
