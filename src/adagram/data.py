@@ -193,9 +193,12 @@ def parse_libsvm(source, name: str = "") -> Dataset:
             continue
         tokens = line.split()
         try:
-            labels.append(float(tokens[0]))
+            label = float(tokens[0])
         except ValueError:
-            raise DataError(f"line {lineno}: bad label {tokens[0]!r}") from None
+            label = math.nan
+        if not math.isfinite(label):  # a NaN would make a class of its own
+            raise DataError(f"line {lineno}: bad label {tokens[0]!r}")
+        labels.append(label)
         entries: dict[int, float] = {}
         prev_idx = 0
         for tok in tokens[1:]:

@@ -2,18 +2,19 @@
 
 Two update schemes are provided: a first-order projector-splitting step
 (K-, core-, L-substeps) and a Brand-style truncated incremental SVD.  The
-latter writes the sum exactly on an (r+1) x (r+1) core and drops the
-core's smallest singular triplet: it finds the triplet from one LU of the
-core by repeated squaring of (M^T M)^{-1}, removes it with one Householder
-reflector per side, and falls back to a full SVD of the core where that
-does not succeed.  Both schemes operate on factored quantities only (no
-n x n array is ever formed) and keep the core a general r x r matrix.
+latter writes the sum exactly on an (r+1) x (r+1) core and always leaves
+the same way: it drops the core's smallest singular triplet with one
+Householder reflector per side.  The triplet comes from one LU of the
+core by repeated squaring of (M^T M)^{-1}, from a full SVD of the core
+where that does not succeed, or is the last coordinate on a side whose
+residual direction is missing.  Both schemes operate on factored
+quantities only (no n x n array is ever formed) and keep the core a
+general r x r matrix.
 
 A leading axis may stack K independent problems.  Stacked products are
 batched ``np.matmul`` calls, one BLAS call per slice, so a slice gets the
 same bits in a stack as alone; the r x r LAPACK calls, the rank-1 basis
-updates, the Householder fallback of the QR and the degenerate
-truncated-SVD branch run slice by slice.
+updates and the Householder fallback of the QR run slice by slice.
 """
 
 from __future__ import annotations
@@ -254,13 +255,14 @@ def rank_one_svd_combine(factors: LowRankFactors,
     The sum is exactly representable in the bases augmented by the
     components of a and b orthogonal to span(u) and span(v), as an
     (r+1) x (r+1) core M.  By Eckart-Young, dropping M's smallest singular
-    triplet is globally optimal in Frobenius norm: one Householder
-    reflector per side maps that triplet's vectors to the last coordinate,
+    triplet (x, sigma, y) is globally optimal in Frobenius norm: one
+    Householder reflector per side maps x and y to the last coordinate,
     the leading r x r block of the reflected core is the new (general)
-    core, and each basis takes one rank-1 update.  Where the triplet is
-    not found (see :func:`_deflation`), and on the degenerate directions
-    (a in span(u), b in span(v)), which skip the augmentation, a full SVD
-    of the core truncates it instead; rank-deficient input never errors.
+    core, and each basis takes one rank-1 update.  The triplet comes from
+    :func:`_deflation`; where that finds none, from a full SVD of the core.
+    A side whose residual direction is missing (a in span(u), b in span(v),
+    or rank = dim) has a zero row or column in M, and takes x or y =
+    e_last, which drops it exactly.  Rank-deficient input never errors.
     """
     _check_increment(factors, inc)
     k, (n, r) = math.prod(factors.u.shape[:-2]), factors.u.shape[-2:]
@@ -268,76 +270,41 @@ def rank_one_svd_combine(factors: LowRankFactors,
     bases = np.stack([factors.u, factors.v]).reshape(2, k, n, r)
     coeff, resid, norm = (x.reshape((2, k) + x.shape[1:]) for x in _split_against_basis(
         bases.reshape(2 * k, n, r), np.stack([inc.a, inc.b]).reshape(2 * k, n)))
-    s0 = factors.s.reshape(k, r, r)
     w = np.reshape(inc.weight, (-1, 1, 1)) if k > 1 else inc.weight  # one per slice
+    side = np.concatenate([coeff, norm[..., None]], axis=2)
+    core = np.zeros((k, r + 1, r + 1))
+    core[:, :r, :r] = factors.s.reshape(k, r, r)
+    core += w * (side[0][:, :, None] * side[1][:, None, :])
 
-    if k == 1 or norm.all():  # one kind of slice
-        u1, s1, v1 = _combine_core(s0, w, bases, coeff, resid, norm)
-    else:  # the slices grouped by the residual directions they have
-        w = np.broadcast_to(w, (k, 1, 1))
-        kinds = (norm[0] != 0.0) + 2 * (norm[1] != 0.0)
-        u1, s1, v1 = _merge(kinds, lambda idx: _combine_core(
-            s0[idx], w[idx], bases[:, idx], coeff[:, idx], resid[:, idx], norm[:, idx]))
+    xy, found = _deflation(core)
+    missing = norm == 0.0
+    redo = ~found & ~missing.all(axis=0)  # not found, and at least one direction
+    if redo.any():
+        uk, _, vkt = _svd(core[redo])
+        xy[0, redo], xy[1, redo] = uk[:, :, r], vkt[:, r, :]
+    xy[missing] = _eye(r + 1)[r]
+    u1, s1, v1 = _reflect_out(core, bases, resid, xy)
     return LowRankFactors(u1.reshape(factors.u.shape), s1.reshape(factors.s.shape),
                           v1.reshape(factors.v.shape))
 
 
-def _merge(labels: np.ndarray, combine):
-    """Stacked (u, s, v) from ``combine`` run once on the slices of each label."""
-    out = None
-    for idx in (np.flatnonzero(labels == k) for k in np.unique(labels)):
-        part = combine(idx)
-        if out is None:
-            out = tuple(np.empty((len(labels),) + x.shape[1:]) for x in part)
-        for whole, x in zip(out, part):
-            whole[idx] = x
-    return out
-
-
-def _combine_core(s0, w, bases, coeff, resid, norm):
-    """The combination for slices that all have, or all lack (a zero norm),
-    each residual direction.  ``bases`` and the split of the increment
-    against them (``coeff``, ``resid``, ``norm``) lead with the u side and
-    the v side."""
-    r, with_p, with_q = s0.shape[-1], norm[0, 0] != 0.0, norm[1, 0] != 0.0
-    left = np.concatenate([coeff[0], norm[0][:, None]], axis=1) if with_p else coeff[0]
-    right = np.concatenate([coeff[1], norm[1][:, None]], axis=1) if with_q else coeff[1]
-    core = np.zeros((len(s0), left.shape[1], right.shape[1]))
-    core[:, :r, :r] = s0
-    core += w * (left[:, :, None] * right[:, None, :])
-    if not (with_p and with_q):
-        return _truncate(core, bases, resid, with_p, with_q)
-    h, found = _deflation(core)
-    if found.all():
-        return _reflect_out(core, bases, resid, h)
-    # The cores whose triplet was not found take the full SVD.
-    return _merge(found, lambda idx: _reflect_out(core[idx], bases[:, idx], resid[:, idx], h[:, idx])
-                  if found[idx[0]] else _truncate(core[idx], bases[:, idx], resid[:, idx], True, True))
-
-
-def _reflect_out(core, bases, resid, h):
-    """Drop each core's smallest triplet: each side's basis augmented by its
-    residual direction, times that side's reflector I - 2 h h^T, and the
-    core between them, each cut to its leading r columns.  A basis cut so
-    is the basis minus 2 (basis h[:r] + residual h[r]) h[:r]^T: one BLAS
-    rank-1 update of ``bases``, in place where they are contiguous."""
-    r, flat, hs = bases.shape[-1], bases.reshape((-1,) + bases.shape[-2:]), h.reshape(-1, h.shape[-1])
+def _reflect_out(core, bases, resid, xy):
+    """Drop each core's smallest triplet, whose singular vectors are xy[0]
+    and xy[1] (overwritten): each side's basis augmented by its residual
+    direction, times that side's reflector I - 2 h h^T that maps its vector
+    to the last coordinate, and the core between them, each cut to its
+    leading r columns.  A basis cut so is the basis minus
+    2 (basis h[:r] + residual h[r]) h[:r]^T: one BLAS rank-1 update of
+    ``bases``, in place where they are contiguous."""
+    r, flat = bases.shape[-1], bases.reshape((-1,) + bases.shape[-2:])
+    hs = xy.reshape(-1, xy.shape[-1])
+    hs[:, -1] += np.copysign(1.0, hs[:, -1])  # (I - 2 h h^T) v = -+e_last
+    hs /= np.sqrt(_sqnorm(hs))[:, None]
+    h = hs.reshape(xy.shape)
     c = (flat @ hs[:, :r, None])[..., 0] + resid.reshape(len(hs), -1) * hs[:, r:]
     for hk, ck, ak in zip(hs[:, :r], c, _t(flat)):
         _dger(-2.0, hk, ck, a=ak, overwrite_a=True)
     return flat[:len(core)], _reflected_core(core, h[0], h[1]), flat[len(core):]
-
-
-def _truncate(core, bases, resid, with_p, with_q):
-    """The leading r singular triplets of each core by a full SVD, on the
-    bases augmented by the residual directions they have."""
-    r = bases.shape[-1]
-    uk, sk, vkt = _svd(core)
-    u_aug = np.concatenate([bases[0], resid[0][:, :, None]], axis=2) if with_p else bases[0]
-    v_aug = np.concatenate([bases[1], resid[1][:, :, None]], axis=2) if with_q else bases[1]
-    s1 = np.zeros((len(sk), r, r))
-    s1.reshape(len(sk), -1)[:, ::r + 1] = sk[:, :r]  # the diagonal
-    return u_aug @ uk[:, :, :r], s1, v_aug @ _t(vkt[:, :r, :])
 
 
 def _svd(core: np.ndarray):
@@ -351,24 +318,26 @@ def _svd(core: np.ndarray):
 
 
 def _deflation(core: np.ndarray):
-    """Householder vectors h[0], h[1] whose reflectors map each core's left
-    and right singular vectors of its smallest singular value to the last
-    coordinate, and the cores for which that triplet was found.
+    """The left and right singular vectors x, y of each core's smallest
+    singular value, stacked as xy[0], xy[1], and the cores for which that
+    triplet was found.
 
     With X the inverse of a core M (one LU per core), B = X X^T =
-    (M^T M)^{-1} has that right vector y as its dominant eigenvector.  B
-    is squared until it is rank one (1 - ||B||_F^2 <= tol at unit trace),
-    tested after each count of squarings in _SQUARINGS.  B's column of
-    largest diagonal entry gives y, one inverse-iteration step X^T y gives
-    x and sigma, and the triplet must pass a residual test on M itself.  A
-    core fails when its LU is singular, when its gap cannot reach the
-    tolerance by the last test (it at best squares with each squaring), or
-    when the residual test fails.  The slices of a stack square together;
-    each keeps B from the test it met, so its bits do not depend on its
-    stack.
+    (M^T M)^{-1} has y as its dominant eigenvector.  B is squared until it
+    is rank one (1 - ||B||_F^2 <= tol at unit trace), tested after each
+    count of squarings in _SQUARINGS.  B's column of largest diagonal
+    entry gives y, one inverse-iteration step X^T y gives x and sigma, and
+    the triplet must pass a residual test on M itself.  A core fails when
+    its LU is singular (it returns at once when every LU is), when its gap
+    cannot reach the tolerance by the last test (it at best squares with
+    each squaring), or when the residual test fails.  The slices of a
+    stack square together; each keeps B from the test it met, so its bits
+    do not depend on its stack.
     """
     k, n = core.shape[:2]
     inv, failed = _each(_inverse, core)
+    if len(failed) == k:
+        return np.full((2, k, n), np.nan), np.zeros(k, dtype=bool)
     live = np.ones(k, dtype=bool)
     if failed:
         live[[i for i, in failed]] = False
@@ -407,10 +376,7 @@ def _deflation(core: np.ndarray):
         resid = _sqnorm(np.concatenate([core @ y - sigma * x, _t(core) @ x - sigma * y],
                                        axis=1)[..., 0])
         found = resid <= _RESIDUAL_TOL ** 2 * _sqnorm(core.reshape(k, -1))
-        h = np.concatenate([x, y])[..., 0]
-        h[:, -1] += np.copysign(1.0, h[:, -1])  # (I - 2 h h^T) v = -+e_last
-        h /= np.sqrt(_sqnorm(h))[:, None]
-    return h.reshape(2, k, n), found
+    return np.concatenate([x, y])[..., 0].reshape(2, k, n), found
 
 
 def _inverse(m: np.ndarray):

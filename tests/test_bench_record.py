@@ -1,0 +1,81 @@
+"""Tests for scripts/bench_record.py, which builds the BENCH_*.json records."""
+
+import importlib.util
+import json
+import pathlib
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("bench_record", ROOT / "scripts" / "bench_record.py")
+bench_record = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_record)
+
+LOWER = {"name": "run_s", "unit": "s", "better": "lower", "bound": 0.25}
+HIGHER = {"name": "cells_per_s", "unit": "cells/s", "better": "higher", "bound": 0.25}
+
+
+class TestSummary:
+    def test_ties_count_for_neither_side(self):
+        parent = [1.0] * 10
+        out = bench_record.summary(LOWER, parent, [0.5] * 8 + [1.0] * 2)
+        assert out["change_wins"] == 8 and out["pairs"] == 10
+        assert not out["gain_rule_met"]  # a tie is a pair the change did not win
+        assert bench_record.summary(LOWER, parent, parent)["change_wins"] == 0
+
+    def test_higher_is_better(self):
+        parent, change = [1.0] * 10, [2.0] * 10
+        up = bench_record.summary(HIGHER, parent, change)
+        assert up["change_wins"] == 10 and up["gain_rule_met"]
+        assert up["relative_change"] == pytest.approx(1.0)
+        down = bench_record.summary(LOWER, parent, change)
+        assert down["change_wins"] == 0 and not down["gain_rule_met"]
+
+    def test_nine_of_ten_wins_needed(self):
+        parent = [1.0] * 10
+        assert bench_record.summary(LOWER, parent, [0.5] * 9 + [1.5])["gain_rule_met"]
+        eight = bench_record.summary(LOWER, parent, [0.5] * 8 + [1.5] * 2)
+        assert eight["change_wins"] == 8 and not eight["gain_rule_met"]
+
+    def test_median_gap_must_exceed_parent_iqr(self):
+        # Parent 1.0 .. 1.9: inclusive quartiles 1.225, 1.45, 1.675, IQR 0.45.
+        parent = [1.0 + 0.1 * i for i in range(10)]
+        near = bench_record.summary(LOWER, parent, [p - 0.3 for p in parent])
+        assert near["parent_quartiles"] == pytest.approx([1.225, 1.45, 1.675])
+        assert near["change_wins"] == 10 and not near["gain_rule_met"]
+        assert bench_record.summary(LOWER, parent, [p - 0.5 for p in parent])["gain_rule_met"]
+
+
+def write_results(path, seeds, trace, metrics_of, commit):
+    path.mkdir(parents=True, exist_ok=True)
+    for seed in seeds:
+        record = {"machine": {"git_commit": commit, "src_tree": commit + "-tree", "cpus": 2},
+                  "result": {"correct": True}, "metrics": metrics_of(seed)}
+        (path / f"wide_fr-seed{seed}-trace{trace}.json").write_text(json.dumps(record))
+
+
+def test_record_from_result_files(tmp_path):
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = [m["name"] for m in spec["end_to_end"]]
+    for side, scale in (("parent", 1.0), ("change", 0.5)):
+        write_results(tmp_path / side, range(1, 11), 0,
+                      lambda seed: {n: scale * (1.0 + 0.01 * seed) for n in names}, side)
+        write_results(tmp_path / side, [1], 1,
+                      lambda seed: {"lowrank.self_s": scale, "not.a.layer": 1.0}, side)
+    out = tmp_path / "BENCH.json"
+    assert bench_record.main(["--parent", str(tmp_path / "parent"),
+                              "--change", str(tmp_path / "change"), "--workload", "wide_fr:1-10",
+                              "--trace", "wide_fr:1", "--out", str(out)]) == 0
+    record = json.loads(out.read_text())
+    assert (record["parent"]["git_commit"], record["change"]["git_commit"]) == ("parent", "change")
+    assert record["machine"] == {"cpus": 2}
+    workload = record["workloads"]["wide_fr"]
+    assert workload["correct"] and [p["seed"] for p in workload["pairs"]] == list(range(1, 11))
+    assert set(workload["summary"]) == set(names)
+    for metric in spec["end_to_end"]:  # every change value is half its parent's
+        s = workload["summary"][metric["name"]]
+        lower = metric["better"] == "lower"
+        assert s["change_wins"] == (10 if lower else 0)
+        assert s["gain_rule_met"] == lower
+    assert record["traces"]["wide_fr"] == [
+        {"seed": 1, "parent": {"lowrank.self_s": 1.0}, "change": {"lowrank.self_s": 0.5}}]

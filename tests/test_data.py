@@ -215,6 +215,10 @@ class TestParseLibsvm:
     def test_bad_label_reports_line(self):
         with pytest.raises(DataError, match="line 1"):
             parse_libsvm("abc 1:1\n")
+        with pytest.raises(DataError, match="line 1: bad label 'nan'"):
+            parse_libsvm("nan 1:0.5\nnan 1:0.2\n1 1:0.3\ninf 1:1\n")
+        with pytest.raises(DataError, match="line 2: bad label '-inf'"):
+            parse_libsvm("1 1:0.3\n-inf 1:1\n")
 
     def test_non_increasing_indices(self):
         with pytest.raises(DataError, match="line 1"):

@@ -213,6 +213,21 @@ class TestTruncatedSvdUpdate:
         assert np.linalg.norm(materialize(out) - best_rank_r(target, r)) <= 1e-10
         assert_orthonormal(out.u)
 
+    @pytest.mark.parametrize("in_span", ["a", "b", "ab"])
+    def test_increment_in_a_basis_span_is_exact(self, in_span):
+        # A side whose vector lies in its basis span has no residual
+        # direction; the sum then fits rank r, and is kept exactly.
+        rng = np.random.default_rng(15)
+        n, r = 9, 3
+        factors = random_factors(rng, n, r)
+        a = factors.u @ rng.standard_normal(r) if "a" in in_span else rng.standard_normal(n)
+        b = factors.v @ rng.standard_normal(r) if "b" in in_span else rng.standard_normal(n)
+        out = rank_one_svd_combine(factors, RankOneIncrement(a, b, 0.7))
+        target = materialize(factors) + 0.7 * np.outer(a, b)
+        assert np.linalg.norm(materialize(out) - target) <= 1e-12 * np.linalg.norm(target)
+        assert_orthonormal(out.u, tol=1e-13)
+        assert_orthonormal(out.v, tol=1e-13)
+
     def test_full_rank_basis(self):
         # r == n leaves no room to augment; combine must stay exact.
         rng = np.random.default_rng(13)
@@ -225,10 +240,10 @@ class TestTruncatedSvdUpdate:
         assert_orthonormal(out.u)
 
     def test_stacked_slices_match_each_slice_alone(self):
-        # Generic, a in span(U), b in span(V), both, and generic again: the
-        # stack groups its slices by case, and each gets its bits alone.
-        # Then a tied core, which falls back to the SVD, beside a generic
-        # one, which deflates: the generic group mixes both paths.
+        # Generic, a in span(U), b in span(V), both, and generic again, then
+        # a tied core, which falls back to the SVD, beside a generic one,
+        # which deflates: whichever way a slice's triplet is found, it gets
+        # its bits alone.
         rng = np.random.default_rng(14)
         n, r = 8, 3
         alone = [random_factors(rng, n, r) for _ in range(5)]
@@ -342,6 +357,25 @@ class TestDeflation:
         np.testing.assert_allclose(materialize(out), 0.7 * np.outer(a, b), atol=1e-13)
         assert_orthonormal(out.u, tol=1e-13)
         assert_orthonormal(out.v, tol=1e-13)
+
+    def test_rank_equal_to_dim_stack_is_exact_without_svd(self, monkeypatch):
+        # At rank = dim no side has a residual direction: each core's last
+        # row and column are zero, and the last coordinate drops them.
+        rng = np.random.default_rng(44)
+        k, n = 3, 5
+        alone = [random_factors(rng, n, n) for _ in range(k)]
+        stack = LowRankFactors(*(np.stack([getattr(f, x) for f in alone]) for x in "usv"))
+        inc = RankOneIncrement(rng.standard_normal((k, n)), rng.standard_normal((k, n)),
+                               rng.uniform(0.5, 2.0, k))
+        fallbacks = self.count_svd(monkeypatch)
+        out = rank_one_svd_combine(stack, inc)
+        assert fallbacks == []
+        target = materialize(stack) + (inc.weight[:, None, None]
+                                       * inc.a[:, :, None] * inc.b[:, None, :])
+        for got, want, u, v in zip(materialize(out), target, out.u, out.v):
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+            assert_orthonormal(u, tol=1e-13)
+            assert_orthonormal(v, tol=1e-13)
 
     def test_non_finite_core_gives_nan(self):
         rng = np.random.default_rng(41)
