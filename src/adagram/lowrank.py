@@ -300,11 +300,11 @@ def _reflect_out(core, bases, resid, xy):
     hs = xy.reshape(-1, xy.shape[-1])
     hs[:, -1] += np.copysign(1.0, hs[:, -1])  # (I - 2 h h^T) v = -+e_last
     hs /= np.sqrt(_sqnorm(hs))[:, None]
-    h = hs.reshape(xy.shape)
     c = (flat @ hs[:, :r, None])[..., 0] + resid.reshape(len(hs), -1) * hs[:, r:]
     for hk, ck, ak in zip(hs[:, :r], c, _t(flat)):
         _dger(-2.0, hk, ck, a=ak, overwrite_a=True)
-    return flat[:len(core)], _reflected_core(core, h[0], h[1]), flat[len(core):]
+    k = len(core)
+    return flat[:k], _reflected_core(core, hs[:k], hs[k:]), flat[k:]
 
 
 def _svd(core: np.ndarray):
