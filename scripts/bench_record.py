@@ -10,7 +10,10 @@ sides with `--trace 1`.  For every end-to-end metric of BENCHMARK.json the
 record keeps each pair, each side's median and quartiles, the change's
 wins and whether the gain rule holds (the change wins at least nine
 tenths of the pairs and the medians differ by more than the parent's
-interquartile range).  Traced pairs keep the per-layer metrics.
+interquartile range).  The same summary is kept for each cli.main call of
+a pass, labelled by kind and batch size for uci_grid: the call's fastest
+time over a run's passes, the term that run_s sums.  Traced pairs keep
+the per-layer metrics.
 """
 
 from __future__ import annotations
@@ -19,8 +22,14 @@ import argparse
 import json
 import os
 import statistics
+import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, ROOT)
+
+from perfbench.inputs import GRID_CALLS  # noqa: E402
+
+CALL_TIME = {"unit": "s", "better": "lower", "bound": None}
 
 
 def seeds(spec: str) -> tuple[str, list[int]]:
@@ -38,6 +47,18 @@ def load(results: str, workload: str, seed: int, trace: int) -> dict:
 def quartiles(values: list[float]) -> list[float]:
     q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return [q1, q2, q3]
+
+
+def call_labels(workload: str, n: int) -> list[str]:
+    """Names of a pass's cli.main calls, as the workload orders them."""
+    if workload == "uci_grid":
+        return [f"{kind}_{bs}" for kind, bs in GRID_CALLS]
+    return [workload] if n == 1 else [f"call{i}" for i in range(n)]
+
+
+def fastest_calls(result: dict) -> list[float]:
+    """Each call's fastest time over the passes of one run."""
+    return [min(times) for times in zip(*result["pass_call_s"])]
 
 
 def summary(metric: dict, parent: list[float], change: list[float]) -> dict:
@@ -81,6 +102,11 @@ def main(argv=None) -> int:
                                            [r["metrics"][m["name"]] for r in runs["change"]])
                         for m in spec["end_to_end"]},
         }
+        fastest = {side: [fastest_calls(r) for r in recs] for side, recs in runs.items()}
+        record["workloads"][name]["calls"] = [  # in the order of a pass
+            {"call": label, "fastest_s": [[p[i], c[i]] for p, c in zip(*fastest.values())],
+             **summary(CALL_TIME, *([r[i] for r in rs] for rs in fastest.values()))}
+            for i, label in enumerate(call_labels(name, len(fastest["parent"][0])))]
     layers = [m["name"] for m in spec["per_layer"]]
     for name, seed_list in map(seeds, args.trace):
         record["traces"][name] = [

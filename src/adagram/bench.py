@@ -391,9 +391,9 @@ def run_stack(cfgs: list[ExperimentConfig], data) -> list[RunRecord]:
             t0 = time.perf_counter()
             params = optimizer.step(params, glm.gradient(model, batch))
             wall += (time.perf_counter() - t0) / len(stack)
-            ok = np.isfinite(params.weights).all(axis=(1, 2))
+            ok = np.isfinite(params.weights)
             if not ok.all():
-                params, wall, stack = _keep(ok, params, wall, stack, optimizer)
+                params, wall, stack = _keep(ok.all(axis=(1, 2)), params, wall, stack, optimizer)
                 if not stack:
                     return records
             model.theta = params.weights  # found finite just above

@@ -9,7 +9,7 @@ the sparse LIBSVM text format ("label index:value ...").
 from __future__ import annotations
 
 import enum
-import io
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -176,18 +176,62 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
 
 
 def parse_libsvm(source, name: str = "") -> Dataset:
-    """Parse LIBSVM text ("label index:value ...", 1-based indices).
+    """Parse LIBSVM text ("label index:value ...", 1-based) from a string or file.
 
     Missing indices are zero; the maximum index defines the feature count.
     Labels are remapped to 0..K-1 by sorted order, so binary files using
-    {-1,+1} or {1,2} land on {0,1}.
+    {-1,+1} or {1,2} land on {0,1}.  Well-formed text is converted in bulk,
+    anything else by the line parser, whose first error is the input's.
     """
-    if isinstance(source, str):
-        source = io.StringIO(source)
+    lines = source.split("\n") if isinstance(source, str) else source
+    parsed = _parse_regular(lines)
+    if parsed is None and lines is source:
+        source.seek(0)  # the line parser reads the file again from its start
+    x, labels = parsed or _parse_lines(lines)
+    if not labels:
+        raise DataError("empty LIBSVM input")
+    classes, y = np.unique(labels, return_inverse=True)
+    return Dataset(x, y, n_classes=len(classes), name=name)
+
+
+def _parse_regular(lines):
+    """x and the labels of ``lines``, read by the line parser's int and float
+    calls from the same substrings, or None where they are not well formed.
+    A file is read 32 lines at a time, so few token strings live at once."""
+    labels, blocks, lines = [], [], iter(lines)
+    try:
+        for block in iter(lambda: list(itertools.islice(lines, 32)), []):
+            rows = [tokens for tokens in map(str.split, block) if tokens]
+            feats = [tok for tokens in rows for tok in tokens[1:]]
+            parts = ":".join(feats).split(":") if feats else []  # index, value, ...
+            if len(parts) != 2 * len(feats) or not all(":" in tok for tok in feats):
+                return None
+            labels += [float(tokens[0]) for tokens in rows]
+            counts = np.fromiter(map(len, rows), np.int64, len(rows)) - 1
+            idx = np.array(parts[::2], dtype=np.int64)  # numpy reads each str by int()
+            prev = np.concatenate([[0], idx[:-1]])
+            prev[(np.cumsum(counts) - counts)[counts > 0]] = 0  # each row starts after 0
+            if not (idx > prev).all():
+                return None
+            blocks.append(np.zeros((len(rows), idx.max(initial=0))))
+            blocks[-1][np.repeat(np.arange(len(rows)), counts), idx - 1] = np.fromiter(
+                map(float, parts[1::2]), float, len(feats))
+    except (ValueError, OverflowError):
+        return None
+    if not (labels and all(map(math.isfinite, labels))):
+        return None
+    x = np.zeros((len(labels), max(b.shape[1] for b in blocks)))
+    for end, b in zip(np.cumsum([len(b) for b in blocks]), blocks):
+        x[end - len(b):end, :b.shape[1]] = b
+    return x, labels
+
+
+def _parse_lines(lines) -> tuple[np.ndarray, list[float]]:
+    """x and the labels, line by line, raising at the first bad line."""
     rows: list[dict[int, float]] = []
     labels: list[float] = []
     n_features = 0
-    for lineno, line in enumerate(source, start=1):
+    for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
             continue
@@ -216,17 +260,11 @@ def parse_libsvm(source, name: str = "") -> Dataset:
             entries[idx] = val
         n_features = max(n_features, prev_idx)
         rows.append(entries)
-    if not rows:
-        raise DataError("empty LIBSVM input")
-
-    classes = sorted(set(labels))
-    class_of = {c: i for i, c in enumerate(classes)}
     x = np.zeros((len(rows), n_features))
     for i, entries in enumerate(rows):
         for idx, val in entries.items():
             x[i, idx - 1] = val
-    y = np.array([class_of[c] for c in labels], dtype=int)
-    return Dataset(x, y, n_classes=len(classes), name=name)
+    return x, labels
 
 
 def serialize_libsvm(ds: Dataset) -> str:
@@ -280,18 +318,15 @@ def split_standardize(ds: Dataset, test_fraction: float,
         )
     test_idx, train_idx = perm[:n_test], perm[n_test:]
 
-    means = ds.x[train_idx].mean(axis=0)
-    stds = ds.x[train_idx].std(axis=0)
+    x_train = ds.x[train_idx]
+    means, stds = x_train.mean(axis=0), x_train.std(axis=0)
     scale = np.where(stds > _CONST_FEATURE_TOL, stds, 1.0)
 
-    def build(idx, suffix):
-        return Dataset(
-            (ds.x[idx] - means) / scale,
-            ds.y[idx],
-            n_classes=ds.n_classes,
-            name=f"{ds.name}/{suffix}" if ds.name else suffix,
-            feature_means=means.copy(),
-            feature_stds=stds.copy(),
-        )
+    def build(x, idx, suffix):  # x: a fresh gather of the rows at idx, scaled in place
+        x -= means
+        x /= scale
+        return Dataset(x, ds.y[idx], n_classes=ds.n_classes,
+                       name=f"{ds.name}/{suffix}" if ds.name else suffix,
+                       feature_means=means.copy(), feature_stds=stds.copy())
 
-    return build(train_idx, "train"), build(test_idx, "test")
+    return build(x_train, train_idx, "train"), build(ds.x[test_idx], test_idx, "test")

@@ -75,8 +75,7 @@ class Batch:
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function: exp never sees z > 0."""
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.exp(np.minimum(z, 0.0)) / (1.0 + np.exp(-np.abs(z)))
 
 
 def check_labels(model: GlmModel, batch: Batch) -> np.ndarray:
@@ -124,9 +123,9 @@ def loss(model: GlmModel, batch: Batch):
     else:
         terms = _log_sum_exp(z) - z[..., np.arange(batch.size), y]
     means = []
-    for t in np.atleast_2d(terms):
+    for t in terms.reshape(-1, batch.size):
         try:
-            means.append(math.fsum(t.tolist()) / batch.size)
+            means.append(math.fsum(memoryview(t)) / batch.size)
         except (OverflowError, ValueError):  # non-negative terms: overflow is +inf
             means.append(math.inf)
     return means[0] if terms.ndim == 1 else np.array(means)

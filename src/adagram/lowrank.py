@@ -159,17 +159,16 @@ def _eye(r: int) -> np.ndarray:
 
 
 def _each(lapack, mats: np.ndarray, *flags) -> tuple[np.ndarray, list]:
-    """LAPACK on a small matrix or each of a stack (directly: numpy's wrapper
-    costs more than the r x r work): the results, Fortran-ordered so a slice's
+    """LAPACK in place on each matrix of a copy of a small matrix or stack
+    (directly: numpy's wrapper costs more than the r x r work), ``flags``
+    ending in the overwrite flag: the results, Fortran-ordered so a slice's
     products make the same BLAS calls stacked as alone, and failed indices."""
-    if mats.ndim == 2 or len(mats) == 1:
-        one = mats.ndim == 2
-        out, info = lapack(mats if one else mats[0], *flags)
-        return (out if one else out[None]), [() if one else (0,)] if info else []
-    out, failed = np.empty_like(mats).swapaxes(1, 2), []
-    for k, mat in enumerate(mats):
-        out[k], info = lapack(mat, *flags)
-        failed += [(k,)] if info else []
+    out, failed = _t(_t(mats).copy()), []
+    for k, mat in enumerate(out.reshape((-1,) + out.shape[-2:])):
+        res, info = lapack(mat, *flags)
+        if res is not mat:  # not done in place
+            mat[...] = res
+        failed += [(k,)[:out.ndim - 2]] if info else []
     return out, failed
 
 
@@ -180,13 +179,13 @@ def _cholesky_qr2(m: np.ndarray):
     from the first inversion is wiped out by the second pass.  Both
     Cholesky diagonals are positive, so the returned r needs no sign fix.
     """
-    low1, failed = _each(_dpotrf, _t(m) @ m, 1, 1)  # lower, clean
+    low1, failed = _each(_dpotrf, _t(m) @ m, 1, 1, 1)  # lower, clean, in place
     panels = math.prod(m.shape[:-2])
     if len(failed) == panels:
         return None, None, failed
     for k in failed:  # keep the discarded work on such a panel cheap and finite
         low1[k] = _eye(m.shape[-1])
-    inv1, failed2 = _each(_dtrtri, low1, 1)  # lower
+    inv1, failed2 = _each(_dtrtri, low1, 1, 0, 1)  # lower, not unit, in place
     failed += failed2  # a repeat redoes a fallback
     q1 = m @ _t(inv1)
     gram2 = _t(q1) @ q1
@@ -198,8 +197,8 @@ def _cholesky_qr2(m: np.ndarray):
         failed += map(tuple, np.argwhere(~(deviation.max(axis=(-2, -1)) <= 1e-3)).tolist())
         if len(set(failed)) == panels:
             return None, None, failed
-    low2, failed3 = _each(_dpotrf, gram2, 1, 1)
-    inv2, failed4 = _each(_dtrtri, low2, 1)
+    low2, failed3 = _each(_dpotrf, gram2, 1, 1, 1)
+    inv2, failed4 = _each(_dtrtri, low2, 1, 0, 1)
     return q1 @ _t(inv2), _t(low1 @ low2), failed + failed3 + failed4
 
 
@@ -267,22 +266,23 @@ def rank_one_svd_combine(factors: LowRankFactors,
     _check_increment(factors, inc)
     k, (n, r) = math.prod(factors.u.shape[:-2]), factors.u.shape[-2:]
     # Both sides as one stack, u first: the bases' copy becomes the new bases.
-    bases = np.stack([factors.u, factors.v]).reshape(2, k, n, r)
-    coeff, resid, norm = (x.reshape((2, k) + x.shape[1:]) for x in _split_against_basis(
-        bases.reshape(2 * k, n, r), np.stack([inc.a, inc.b]).reshape(2 * k, n)))
+    bases = np.concatenate([factors.u.reshape(k, n, r), factors.v.reshape(k, n, r)])
+    coeff, resid, norm = _split_against_basis(
+        bases, np.concatenate([inc.a.reshape(k, n), inc.b.reshape(k, n)]))
     w = np.reshape(inc.weight, (-1, 1, 1)) if k > 1 else inc.weight  # one per slice
-    side = np.concatenate([coeff, norm[..., None]], axis=2)
+    side = np.concatenate([coeff, norm[:, None]], axis=1)
     core = np.zeros((k, r + 1, r + 1))
     core[:, :r, :r] = factors.s.reshape(k, r, r)
-    core += w * (side[0][:, :, None] * side[1][:, None, :])
+    core += w * (side[:k, :, None] * side[k:, None, :])
 
     xy, found = _deflation(core)
-    missing = norm == 0.0
-    redo = ~found & ~missing.all(axis=0)  # not found, and at least one direction
-    if redo.any():
-        uk, _, vkt = _svd(core[redo])
-        xy[0, redo], xy[1, redo] = uk[:, :, r], vkt[:, r, :]
-    xy[missing] = _eye(r + 1)[r]
+    if not found.all():  # a core with a missing direction is singular: never found
+        missing = (norm == 0.0).reshape(2, k)
+        redo = ~found & ~missing.all(axis=0)  # not found, and at least one direction
+        if redo.any():
+            uk, _, vkt = _svd(core[redo])
+            xy[0, redo], xy[1, redo] = uk[:, :, r], vkt[:, r, :]
+        xy[missing] = _eye(r + 1)[r]
     u1, s1, v1 = _reflect_out(core, bases, resid, xy)
     return LowRankFactors(u1.reshape(factors.u.shape), s1.reshape(factors.s.shape),
                           v1.reshape(factors.v.shape))
@@ -296,15 +296,13 @@ def _reflect_out(core, bases, resid, xy):
     leading r columns.  A basis cut so is the basis minus
     2 (basis h[:r] + residual h[r]) h[:r]^T: one BLAS rank-1 update of
     ``bases``, in place where they are contiguous."""
-    r, flat = bases.shape[-1], bases.reshape((-1,) + bases.shape[-2:])
-    hs = xy.reshape(-1, xy.shape[-1])
+    r, k, hs = bases.shape[-1], len(core), xy.reshape(-1, xy.shape[-1])
     hs[:, -1] += np.copysign(1.0, hs[:, -1])  # (I - 2 h h^T) v = -+e_last
     hs /= np.sqrt(_sqnorm(hs))[:, None]
-    c = (flat @ hs[:, :r, None])[..., 0] + resid.reshape(len(hs), -1) * hs[:, r:]
-    for hk, ck, ak in zip(hs[:, :r], c, _t(flat)):
+    c = (bases @ hs[:, :r, None])[..., 0] + resid * hs[:, r:]
+    for hk, ck, ak in zip(hs[:, :r], c, _t(bases)):
         _dger(-2.0, hk, ck, a=ak, overwrite_a=True)
-    k = len(core)
-    return flat[:k], _reflected_core(core, hs[:k], hs[k:]), flat[k:]
+    return bases[:k], _reflected_core(core, hs[:k], hs[k:]), bases[k:]
 
 
 def _svd(core: np.ndarray):
@@ -380,8 +378,8 @@ def _deflation(core: np.ndarray):
 
 
 def _inverse(m: np.ndarray):
-    """Inverse of a square matrix through its LU, with LAPACK's info."""
-    lu, piv, info = _dgetrf(m)
+    """Inverse of a square Fortran-ordered matrix in place, with LAPACK's info."""
+    lu, piv, info = _dgetrf(m, overwrite_a=True)
     return (lu, info) if info else _dgetri(lu, piv, overwrite_lu=True)
 
 

@@ -240,7 +240,10 @@ def adagram_step(params: ParamState, grad: np.ndarray,
             update_integrator(state, gbar, norm_sq)
             # The core is non-finite whenever a factor is: both factorizations'
             # triangular factors are whenever their panels are.
-            bad = bad | _nonfinite(state.factors.s, (-2, -1))
+            core_bad = _nonfinite(state.factors.s, (-2, -1))
+            if core_bad is not False and state.live is not None:  # over the live cells
+                core_bad = np.isin(np.arange(len(w)), state.live[core_bad])
+            bad = bad | core_bad
         direction = unvec(preconditioned_direction(gbar, norm_sq), w.shape[-2:])
         return w - cfg.learning_rate * direction, bad
     return _step(params, grad, rule)

@@ -45,9 +45,9 @@ def alpha_of(norm_sq):
     (sqrt(1 + s) - 1) / s but free of cancellation for small s, and yields
     the analytic limit 1/2 at s = 0.  Elementwise on an array.
     """
-    one = isinstance(norm_sq, float)  # math is quicker than numpy on one value
-    if not (math.isfinite(norm_sq) and norm_sq >= 0.0 if one
-            else (np.isfinite(norm_sq) & (norm_sq >= 0.0)).all()):
+    one = isinstance(norm_sq, float)  # math is quicker than numpy on a few values
+    if not all(0.0 <= s < math.inf for s in ([norm_sq] if one else
+                                             np.asarray(norm_sq).ravel().tolist())):
         raise ValueError(f"squared norm must be finite and >= 0, got {norm_sq}")
     return 1.0 / ((math.sqrt if one else np.sqrt)(1.0 + norm_sq) + 1.0)
 
@@ -100,7 +100,8 @@ class ExactPQState:
 
 
 class IntegratorState:
-    """Low-rank backend: P_t Q_t^T compressed to rank-``rank`` factors."""
+    """Low-rank backend: P_t Q_t^T compressed to rank-``rank`` factors, held
+    for the ``live`` cells (None: all).  A mu = 1 cell keeps A = 0 for good."""
 
     def __init__(self, dim: int, eps, rank: int,
                  variant: IntegratorVariant = IntegratorVariant.PROJECTOR_SPLITTING,
@@ -114,20 +115,23 @@ class IntegratorState:
         self._weigh(*((None, None) if mus == [None] * len(mus) else
                       (np.reshape([1.0 if x is None else x for x in mus], self.eps.shape),
                        np.reshape([1.0 if x is None else 1.0 - x for x in mus], self.eps.shape))))
-        self.factors = zero_factors(dim, rank, self.eps.shape)
+        self.factors = zero_factors(dim, rank,
+                                    (self.eps if self.live is None else self.live).shape)
         self.rank, self.variant, self.t = self.factors.rank, variant, 0
 
     def _weigh(self, hist, inc) -> None:
-        # mu = 1 keeps mu * A + 0 * dA = A: only the ``live`` cells update.
         self.hist, self.inc = hist, inc
         self.live = None if inc is None or inc.all() else np.flatnonzero(inc)
+        self.weights = ((hist, inc) if self.live is None else
+                        (np.ravel(hist)[self.live], np.ravel(inc)[self.live]))
 
     @property
     def dim(self) -> int:
         return self.factors.dim
 
-    def select(self, keep) -> "IntegratorState":
-        self.eps, self.factors = self.eps[keep], self.factors.take(keep)
+    def select(self, keep) -> "IntegratorState":  # keep: a mask over the cells
+        self.eps = self.eps[keep]
+        self.factors = self.factors.take(keep if self.live is None else keep[self.live])
         if self.hist is not None:
             self._weigh(self.hist[keep], self.inc[keep])
         return self
@@ -153,9 +157,12 @@ def apply_inverse(state: PreconditionerState, g: np.ndarray) -> np.ndarray:
         if state.t == 0:
             return y
         return y - (state.p @ (state.q.swapaxes(-1, -2) @ y[..., None]))[..., 0]
-    if state.live is not None and not state.live.size:  # every cell has mu = 1: A = 0
-        return y
-    return y - state.factors.apply(y)
+    if state.live is None:
+        return y - state.factors.apply(y)
+    if state.live.size:  # the other cells have A = 0
+        y_live = y[state.live]
+        y[state.live] = y_live - state.factors.apply(y_live)
+    return y
 
 
 def preconditioned_direction(gbar: np.ndarray, norm_sq=None) -> np.ndarray:
@@ -219,24 +226,19 @@ def update_integrator(state: IntegratorState, gbar: np.ndarray,
     gbar = _check_vector(state, gbar)
     if norm_sq is None:
         norm_sq = squared_norm(gbar)
-    factors, hist, inc = state.factors, state.hist, state.inc
-    if state.live is not None:  # the mu = 1 cells stay as built
+    factors, (hist, inc) = state.factors, state.weights
+    if state.live is not None:  # the mu = 1 cells stay zero
         if not state.live.size:
             state.t += 1
             return state
-        factors, gbar, norm_sq = factors.take(state.live), gbar[state.live], norm_sq[state.live]
-        hist, inc = hist[state.live], inc[state.live]
+        gbar, norm_sq = gbar[state.live], norm_sq[state.live]
     beta = beta_of(alpha_of(norm_sq), norm_sq)
     b = gbar - factors.apply_transpose(gbar)
     if hist is not None:
         factors = LowRankFactors(factors.u, hist[..., None, None] * factors.s, factors.v)
     step = (projector_splitting_step if state.variant is IntegratorVariant.PROJECTOR_SPLITTING
             else rank_one_svd_combine)
-    new = step(factors, RankOneIncrement.trusted(gbar, b, beta if inc is None else beta * inc))
-    if state.live is not None:
-        f = state.factors
-        f.u[state.live], f.s[state.live], f.v[state.live] = new.u, new.s, new.v
-    else:
-        state.factors = new
+    state.factors = step(factors, RankOneIncrement.trusted(gbar, b,
+                                                           beta if inc is None else beta * inc))
     state.t += 1
     return state

@@ -46,12 +46,14 @@ class TestSummary:
         assert bench_record.summary(LOWER, parent, [p - 0.5 for p in parent])["gain_rule_met"]
 
 
-def write_results(path, seeds, trace, metrics_of, commit):
+def write_results(path, seeds, trace, metrics_of, commit, workload="wide_fr",
+                  calls_of=lambda seed: [[1.0]]):
     path.mkdir(parents=True, exist_ok=True)
     for seed in seeds:
         record = {"machine": {"git_commit": commit, "src_tree": commit + "-tree", "cpus": 2},
-                  "result": {"correct": True}, "metrics": metrics_of(seed)}
-        (path / f"wide_fr-seed{seed}-trace{trace}.json").write_text(json.dumps(record))
+                  "result": {"correct": True}, "metrics": metrics_of(seed),
+                  "pass_call_s": calls_of(seed)}
+        (path / f"{workload}-seed{seed}-trace{trace}.json").write_text(json.dumps(record))
 
 
 def test_record_from_result_files(tmp_path):
@@ -79,3 +81,33 @@ def test_record_from_result_files(tmp_path):
         assert s["gain_rule_met"] == lower
     assert record["traces"]["wide_fr"] == [
         {"seed": 1, "parent": {"lowrank.self_s": 1.0}, "change": {"lowrank.self_s": 0.5}}]
+
+
+def test_each_uci_grid_call_keeps_its_fastest_pass(tmp_path):
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    labels = bench_record.call_labels("uci_grid", 10)
+    assert labels[0] == "sgd_64" and labels[-1] == "adagram_fr_128" and len(set(labels)) == 10
+
+    def calls_of(scale):  # three passes; call i is fastest, at i + 1 + seed / 100, in pass i % 3
+        return lambda seed: [[(i + 1 + seed / 100) * (scale if i == 9 else 1.0)
+                              * (1.0 if i % 3 == p else 1.5) for i in range(10)]
+                             for p in range(3)]
+    for side, scale in (("parent", 1.0), ("change", 0.5)):
+        write_results(tmp_path / side, range(1, 11), 0, lambda seed: dict.fromkeys(names, 1.0),
+                      side, "uci_grid", calls_of(scale))
+    out = tmp_path / "BENCH.json"
+    assert bench_record.main(["--parent", str(tmp_path / "parent"), "--change",
+                              str(tmp_path / "change"), "--workload", "uci_grid:1-10",
+                              "--out", str(out)]) == 0
+    calls = json.loads(out.read_text())["workloads"]["uci_grid"]["calls"]
+    assert [c["call"] for c in calls] == labels
+    first, last = calls[0], calls[-1]
+    assert first["fastest_s"][0] == [pytest.approx(1.01)] * 2 and first["pairs"] == 10
+    assert first["parent_quartiles"][1] == pytest.approx(1.055)  # the median of 1.01 .. 1.10
+    assert first["change_wins"] == 0 and not first["gain_rule_met"]
+    assert last["fastest_s"][0] == [pytest.approx(10.01), pytest.approx(5.005)]
+    assert last["change_wins"] == 10 and last["gain_rule_met"]
+    assert last["relative_change"] == pytest.approx(-0.5)
+    result = {"pass_call_s": calls_of(1.0)(1)}  # run_s sums these minima
+    fastest = bench_record.fastest_calls(result)
+    assert sum(fastest) == pytest.approx(sum(i + 1.01 for i in range(10)))

@@ -5,6 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from adagram import cli
+from adagram import data as data_mod
 from adagram.data import (
     CorrelationKind,
     CorrelationSpec,
@@ -12,6 +14,7 @@ from adagram.data import (
     Dataset,
     SyntheticSpec,
     generate_synthetic,
+    load_libsvm,
     parse_libsvm,
     serialize_libsvm,
     split_standardize,
@@ -250,6 +253,102 @@ class TestParseLibsvm:
         again = parse_libsvm(serialize_libsvm(ds))
         assert again.n_features == 2
         assert np.array_equal(again.x, x)
+
+
+def random_libsvm(rng: np.random.Generator) -> str:
+    """LIBSVM text with dense, sparse and bare-label rows, blank lines, mixed
+    separators and line ends, several label spellings and exponents."""
+    n_features = int(rng.integers(1, 9))
+    labels = ["+1", "-1", "1", "2", "0.5", "-2e0", "3", "1.0E+1"]
+    lines = []
+    for i in range(int(rng.integers(1, 25))):
+        kind = "dense" if i == 0 else rng.choice(["dense", "sparse", "bare", "blank"])
+        if kind == "blank":
+            lines.append(rng.choice(["", "  ", "\t"]))
+            continue
+        idx = (np.arange(1, n_features + 1) if kind == "dense" else
+               np.flatnonzero(rng.random(n_features) < 0.4) + 1 if kind == "sparse" else [])
+        tokens = [str(rng.choice(labels))]
+        for j in idx:
+            v = float(rng.standard_normal() * 10.0 ** rng.integers(-5, 6))
+            text = rng.choice([repr(v), f"{v:.3e}", f"{v:.6E}", str(int(v)), f"+{abs(v)!r}"])
+            tokens.append(f"{j}:{text}")
+        seps = [str(rng.choice([" ", "\t", "   ", " \t "])) for _ in tokens]
+        lines.append(str(rng.choice(["", " "])) + "".join(t + s for t, s in zip(tokens, seps)))
+    text = "".join(line + str(rng.choice(["\n", "\r\n"])) for line in lines)
+    return text if rng.random() < 0.5 else text.rstrip("\r\n")
+
+
+class TestParseFastPath:
+    """The bulk conversion against the line parser, which it defers to."""
+
+    @staticmethod
+    def line_parser(monkeypatch):
+        monkeypatch.setattr(data_mod, "_parse_regular", lambda lines: None)
+
+    @staticmethod
+    def outcome(text):
+        try:
+            ds = parse_libsvm(text, name="t")
+        except (DataError, ValueError) as exc:
+            return type(exc), str(exc)
+        return ds.x.shape, ds.x.tobytes(), ds.y.tolist(), ds.n_classes, ds.name
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_text_matches_the_line_parser_bitwise(self, seed, monkeypatch):
+        text = random_libsvm(np.random.default_rng(seed))
+        assert data_mod._parse_regular(text.split("\n")) is not None  # the fast path takes it
+        fast = self.outcome(text)
+        self.line_parser(monkeypatch)
+        assert self.outcome(text) == fast
+
+    @pytest.mark.parametrize("text, message", [
+        ("1 1:1\n1 nonsense\n", "line 2: bad feature token 'nonsense'"),
+        ("1 5 1:2:3\n", "line 1: bad feature token '5'"),  # colon counts even out
+        ("1 1:2:3\n", "line 1: bad feature token '1:2:3'"),
+        ("1 1.0:5\n", "line 1: bad feature token '1.0:5'"),
+        ("1 1:\n", "line 1: bad feature token '1:'"),
+        ("1 :5\n", "line 1: bad feature token ':5'"),
+        ("abc 1:1\n", "line 1: bad label 'abc'"),
+        ("1:1 2:2\n", "line 1: bad label '1:1'"),
+        ("1 1:1\nnan 1:0.5\n", "line 2: bad label 'nan'"),
+        ("1 1:1\n-inf 1:1\n", "line 2: bad label '-inf'"),
+        ("1 2:1 2:3\n", "line 1: indices must be increasing and >= 1, got 2"),
+        ("1 1:1\n1 3:1 2:3\n", "line 2: indices must be increasing and >= 1, got 2"),
+        ("1 0:1\n", "line 1: indices must be increasing and >= 1, got 0"),
+        ("1 -1:1\n", "line 1: indices must be increasing and >= 1, got -1"),
+        ("\n \n\t\n", "empty LIBSVM input"),
+        ("1 1:nan\n", "dataset 't' contains non-finite features"),
+        ("1 1:1e999\n", "dataset 't' contains non-finite features"),
+    ])
+    def test_malformed_input_keeps_the_line_parsers_message(self, text, message, monkeypatch):
+        fast = self.outcome(text)
+        assert fast[1] == message
+        self.line_parser(monkeypatch)
+        assert self.outcome(text) == fast
+
+    @pytest.mark.parametrize("text", ["1 1_0:5\n", "1 1:1_5\n", "+1 2:-0.0\n", "1 01:1\n"])
+    def test_tokens_int_and_float_accept_read_alike(self, text, monkeypatch):
+        fast = self.outcome(text)
+        self.line_parser(monkeypatch)
+        assert self.outcome(text) == fast
+
+    def test_file_is_read_as_the_line_parser_reads_it(self, tmp_path, monkeypatch):
+        good = "1 1:1\n" * 2000  # past one read chunk
+        files = {"late": good + "1 1:\xe9\n", "bad_line_first": "1 x\n" + good + "1 1:\xe9\n"}
+        for name, text in files.items():
+            (tmp_path / name).write_bytes(text.encode("latin-1"))
+        with open(tmp_path / "late", encoding="ascii") as fh:
+            with pytest.raises(UnicodeDecodeError) as ref:
+                list(fh)
+        with pytest.raises(UnicodeDecodeError) as err:
+            load_libsvm(str(tmp_path / "late"))
+        assert str(err.value) == str(ref.value)
+        with pytest.raises(DataError, match="line 1: bad feature token 'x'"):
+            load_libsvm(str(tmp_path / "bad_line_first"))
+        for name in files:
+            argv = ["--dataset", str(tmp_path / name), "--optimizer", "sgd", "--epochs", "1"]
+            assert cli.main(argv) == cli.EXIT_CONFIG
 
 
 class TestSplitStandardize:

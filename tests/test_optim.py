@@ -21,6 +21,7 @@ from adagram.optim import (
     unvec,
     vec,
 )
+from adagram import precond
 from adagram.precond import ExactPQState
 
 from helpers import dense_gram, sym_inv_sqrt
@@ -246,6 +247,26 @@ class TestAdaGramStep:
         g = np.full((1, 4), 1e10)
         out = stack.step(ParamState(np.zeros((2, 1, 4))), np.stack([g, g]))
         assert np.isnan(out.weights[0]).all()
+        assert out.weights[1].tobytes() == alone.step(ParamState.zeros(1, 4), g).weights.tobytes()
+
+    @pytest.mark.parametrize("kind", [OptimizerKind.ADAGRAM_PS, OptimizerKind.ADAGRAM_FR])
+    def test_non_finite_core_is_its_cells_divergence_beside_mu_one_cells(self, kind, monkeypatch):
+        # Cells 1 and 3 hold factors; the second of them gets a NaN core.
+        cells = [cfg(kind=kind, lr=0.1, rank=2, mu=mu) for mu in (1.0, 0.9, 1.0, 0.5)]
+        stack, alone = make_optimizer(cells, (1, 4)), make_optimizer(cells[1], (1, 4))
+        name = ("projector_splitting_step" if kind is OptimizerKind.ADAGRAM_PS
+                else "rank_one_svd_combine")
+        step = getattr(precond, name)
+
+        def spoil(factors, inc):
+            out = step(factors, inc)
+            out.s[1] = np.nan
+            return out
+        monkeypatch.setattr(precond, name, spoil)
+        g = np.arange(1.0, 5.0)[None]
+        out = stack.step(ParamState(np.zeros((4, 1, 4))), np.stack([g] * 4))
+        assert np.isnan(out.weights[3]).all() and not np.isnan(out.weights[:3]).any()
+        monkeypatch.setattr(precond, name, step)
         assert out.weights[1].tobytes() == alone.step(ParamState.zeros(1, 4), g).weights.tobytes()
 
 

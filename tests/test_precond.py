@@ -207,6 +207,29 @@ class TestUpdateIntegrator:
             assert np.array_equal(apply_inverse(state, g), g / np.sqrt([[0.5], [2.0]]))
             update_integrator(state, g)
 
+    @pytest.mark.parametrize("variant", list(IntegratorVariant))
+    def test_mu_one_cells_hold_no_factors(self, variant):
+        # Cells 0 and 2 (mu 0.9, none) hold factors; a stack of them and
+        # each alone give the same bits, before and after dropping cell 0.
+        rng = np.random.default_rng(12)
+        eps, mu = [0.5, 2.0, 1.0, 0.1], [0.9, 1.0, None, 1.0]
+        state = IntegratorState(6, eps=eps, rank=2, variant=variant, mu=mu)
+        alone = [IntegratorState(6, eps=e, rank=2, variant=variant, mu=m) for e, m in zip(eps, mu)]
+        assert state.factors.u.shape == (2, 6, 2) and state.live.tolist() == [0, 2]
+        for t in range(6):
+            if t == 3:
+                state.select(np.array([False, True, True, True]))
+                alone = alone[1:]
+                assert state.factors.u.shape == (1, 6, 2) and state.live.tolist() == [1]
+            g = rng.standard_normal((len(alone), 6))
+            gbar = apply_inverse(state, g)
+            for k, cell in enumerate(alone):
+                assert gbar[k].tobytes() == apply_inverse(cell, g[k]).tobytes()
+                update_integrator(cell, gbar[k])
+            update_integrator(state, gbar)
+        s = state.factors.s[0]
+        assert s.tobytes() == alone[1].factors.s.tobytes() and s.any()
+
     def test_mu_one_freezes_matrix(self):
         rng = np.random.default_rng(7)
         for variant in IntegratorVariant:
