@@ -4,16 +4,16 @@
       --change perfbench/out/results --workload wide_fr:101-110 \
       --workload uci_grid:301-310 --trace wide_fr:1 --out BENCH_7.json
 
-Each --workload names the seeds of alternating parent/change pairs run
-with `perfbench/run.py --trace 0`; each --trace names seeds run on both
-sides with `--trace 1`.  For every end-to-end metric of BENCHMARK.json the
-record keeps each pair, each side's median and quartiles, the change's
-wins and whether the gain rule holds (the change wins at least nine
-tenths of the pairs and the medians differ by more than the parent's
-interquartile range).  The same summary is kept for each cli.main call of
-a pass, labelled by kind and batch size for uci_grid: the call's fastest
-time over a run's passes, the term that run_s sums.  Traced pairs keep
-the per-layer metrics.
+Each --workload names the seeds (comma-separated ranges) of alternating
+parent/change pairs run with `perfbench/run.py --trace 0`; each --trace
+names seeds run on both sides with `--trace 1`.  For every end-to-end
+metric of BENCHMARK.json the record keeps each pair, each side's median
+and quartiles, the change's wins and whether the gain rule holds (the
+change wins at least nine tenths of the pairs and the medians differ by
+more than the parent's interquartile range).  The same summary is kept
+for each cli.main call of a pass, labelled by kind and batch size for
+uci_grid: the call's fastest time over a run's passes, the term that
+run_s sums.  Traced pairs keep the per-layer metrics.
 """
 
 from __future__ import annotations
@@ -33,9 +33,13 @@ CALL_TIME = {"unit": "s", "better": "lower", "bound": None}
 
 
 def seeds(spec: str) -> tuple[str, list[int]]:
-    name, _, span = spec.partition(":")
-    lo, _, hi = span.partition("-")
-    return name, list(range(int(lo), int(hi or lo) + 1))
+    """name:first-last[,first-last...] as the name and its seeds."""
+    name, _, spans = spec.partition(":")
+    out = []
+    for span in spans.split(","):
+        lo, _, hi = span.partition("-")
+        out += range(int(lo), int(hi or lo) + 1)
+    return name, out
 
 
 def load(results: str, workload: str, seed: int, trace: int) -> dict:
@@ -49,11 +53,9 @@ def quartiles(values: list[float]) -> list[float]:
     return [q1, q2, q3]
 
 
-def call_labels(workload: str, n: int) -> list[str]:
+def call_labels(workload: str) -> list[str]:
     """Names of a pass's cli.main calls, as the workload orders them."""
-    if workload == "uci_grid":
-        return [f"{kind}_{bs}" for kind, bs in GRID_CALLS]
-    return [workload] if n == 1 else [f"call{i}" for i in range(n)]
+    return [f"{kind}_{bs}" for kind, bs in GRID_CALLS] if workload == "uci_grid" else [workload]
 
 
 def fastest_calls(result: dict) -> list[float]:
@@ -106,7 +108,7 @@ def main(argv=None) -> int:
         record["workloads"][name]["calls"] = [  # in the order of a pass
             {"call": label, "fastest_s": [[p[i], c[i]] for p, c in zip(*fastest.values())],
              **summary(CALL_TIME, *([r[i] for r in rs] for rs in fastest.values()))}
-            for i, label in enumerate(call_labels(name, len(fastest["parent"][0])))]
+            for i, label in enumerate(call_labels(name))]
     layers = [m["name"] for m in spec["per_layer"]]
     for name, seed_list in map(seeds, args.trace):
         record["traces"][name] = [

@@ -216,7 +216,7 @@ def _parse_regular(lines):
             blocks.append(np.zeros((len(rows), idx.max(initial=0))))
             blocks[-1][np.repeat(np.arange(len(rows)), counts), idx - 1] = np.fromiter(
                 map(float, parts[1::2]), float, len(feats))
-    except (ValueError, OverflowError):
+    except (ValueError, OverflowError, MemoryError):  # a huge index: the line parser's error
         return None
     if not (labels and all(map(math.isfinite, labels))):
         return None

@@ -15,6 +15,12 @@ LOWER = {"name": "run_s", "unit": "s", "better": "lower", "bound": 0.25}
 HIGHER = {"name": "cells_per_s", "unit": "cells/s", "better": "higher", "bound": 0.25}
 
 
+def test_seed_ranges():
+    assert bench_record.seeds("uci_grid:321-323,341-342,350") == (
+        "uci_grid", [321, 322, 323, 341, 342, 350])
+    assert bench_record.seeds("wide_fr:7") == ("wide_fr", [7])
+
+
 class TestSummary:
     def test_ties_count_for_neither_side(self):
         parent = [1.0] * 10
@@ -85,7 +91,7 @@ def test_record_from_result_files(tmp_path):
 
 def test_each_uci_grid_call_keeps_its_fastest_pass(tmp_path):
     names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
-    labels = bench_record.call_labels("uci_grid", 10)
+    labels = bench_record.call_labels("uci_grid")
     assert labels[0] == "sgd_64" and labels[-1] == "adagram_fr_128" and len(set(labels)) == 10
 
     def calls_of(scale):  # three passes; call i is fastest, at i + 1 + seed / 100, in pass i % 3

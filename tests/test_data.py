@@ -305,6 +305,7 @@ class TestParseFastPath:
     @pytest.mark.parametrize("text, message", [
         ("1 1:1\n1 nonsense\n", "line 2: bad feature token 'nonsense'"),
         ("1 5 1:2:3\n", "line 1: bad feature token '5'"),  # colon counts even out
+        ("1 1 2:3:4\n", "line 1: bad feature token '1'"),  # ... and indices increase
         ("1 1:2:3\n", "line 1: bad feature token '1:2:3'"),
         ("1 1.0:5\n", "line 1: bad feature token '1.0:5'"),
         ("1 1:\n", "line 1: bad feature token '1:'"),
@@ -320,6 +321,7 @@ class TestParseFastPath:
         ("\n \n\t\n", "empty LIBSVM input"),
         ("1 1:nan\n", "dataset 't' contains non-finite features"),
         ("1 1:1e999\n", "dataset 't' contains non-finite features"),
+        ("1 99999999999999999999:1\n", "Maximum allowed dimension exceeded"),  # not int64
     ])
     def test_malformed_input_keeps_the_line_parsers_message(self, text, message, monkeypatch):
         fast = self.outcome(text)

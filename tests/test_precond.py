@@ -210,7 +210,7 @@ class TestUpdateIntegrator:
     @pytest.mark.parametrize("variant", list(IntegratorVariant))
     def test_mu_one_cells_hold_no_factors(self, variant):
         # Cells 0 and 2 (mu 0.9, none) hold factors; a stack of them and
-        # each alone give the same bits, before and after dropping cell 0.
+        # each alone give the same bits, before and after dropping cells 0, 1.
         rng = np.random.default_rng(12)
         eps, mu = [0.5, 2.0, 1.0, 0.1], [0.9, 1.0, None, 1.0]
         state = IntegratorState(6, eps=eps, rank=2, variant=variant, mu=mu)
@@ -218,9 +218,9 @@ class TestUpdateIntegrator:
         assert state.factors.u.shape == (2, 6, 2) and state.live.tolist() == [0, 2]
         for t in range(6):
             if t == 3:
-                state.select(np.array([False, True, True, True]))
-                alone = alone[1:]
-                assert state.factors.u.shape == (1, 6, 2) and state.live.tolist() == [1]
+                state.select(np.array([False, False, True, True]))
+                alone = alone[2:]
+                assert state.factors.u.shape == (1, 6, 2) and state.live.tolist() == [0]
             g = rng.standard_normal((len(alone), 6))
             gbar = apply_inverse(state, g)
             for k, cell in enumerate(alone):
@@ -228,7 +228,7 @@ class TestUpdateIntegrator:
                 update_integrator(cell, gbar[k])
             update_integrator(state, gbar)
         s = state.factors.s[0]
-        assert s.tobytes() == alone[1].factors.s.tobytes() and s.any()
+        assert s.tobytes() == alone[0].factors.s.tobytes() and s.any()
 
     def test_mu_one_freezes_matrix(self):
         rng = np.random.default_rng(7)
