@@ -36,8 +36,8 @@ from .data import (
     split_standardize,
 )
 from .optim import (
-    ADAGRAM_KINDS,
     FULL_MATRIX_CAP,
+    INTEGRATOR_KINDS,
     OptimizerConfig,
     OptimizerKind,
     ParamState,
@@ -96,7 +96,7 @@ class Field:
     metadata and the summary TSV.  ``attr`` (default: the key) is its
     attribute on OptimizerConfig if ``optimizer`` is set, else on
     ExperimentConfig; those dataclasses alone hold the defaults.  ``axis``
-    marks a grid axis: "all" for every kind, "adagram" for AdaGram only.
+    marks a grid axis: "all" for every kind, "integrator" for INTEGRATOR_KINDS.
     """
 
     key: str
@@ -132,7 +132,7 @@ class Field:
             raise ConfigError(f"{self.key}: {exc}") from None
 
     def applies_to(self, kind: OptimizerKind) -> bool:
-        return self.axis != "adagram" or kind in ADAGRAM_KINDS
+        return self.axis != "integrator" or kind in INTEGRATOR_KINDS
 
 
 # The experiment settings, in config-hash order.
@@ -142,9 +142,9 @@ FIELDS = (
           optimizer=True),
     Field("lr", float, "learning rate", "learning_rate", optimizer=True, axis="all"),
     Field("eps", float, "initial diagonal of the accumulator", optimizer=True, axis="all"),
-    Field("rank", int, "rank budget for AdaGram variants", optimizer=True, axis="adagram"),
+    Field("rank", int, "rank budget (adagram_ps, adagram_fr)", optimizer=True, axis="integrator"),
     Field("mu", float, "memory weight in [0,1], or 'none'", optimizer=True,
-          axis="adagram", optional=True),
+          axis="integrator", optional=True),
     Field("opt_seed", int, "seed of the weight init", "seed", optimizer=True),
     Field("batch_size", int, "minibatch size", axis="all"),
     Field("epochs", int, "passes over the training split"),

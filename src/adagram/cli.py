@@ -25,6 +25,7 @@ from .bench import (
     write_summary_tsv,
 )
 from .data import DataError
+from .optim import INTEGRATOR_KINDS
 from .precond import PreconditionerBudgetError
 
 EXIT_OK = 0
@@ -134,7 +135,7 @@ def _run_grid(cfg: ExperimentConfig, grid_path: str, out: str | None,
     best = result.best_config.optimizer
     print(
         f"best: {best.kind.value} lr={best.learning_rate} eps={best.eps}"
-        + (f" rank={best.rank} mu={best.mu}" if best.kind.value.startswith("adagram") else "")
+        + (f" rank={best.rank} mu={best.mu}" if best.kind in INTEGRATOR_KINDS else "")
         + f" batch={result.best_config.batch_size}"
         + f" final_train_loss={result.best_record.final_train_loss:.6g}"
     )

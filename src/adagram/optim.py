@@ -54,9 +54,9 @@ class OptimizerKind(str, enum.Enum):
                          + ", ".join(k.value for k in cls))
 
 
-ADAGRAM_KINDS = frozenset(
-    {OptimizerKind.ADAGRAM_EXACT, OptimizerKind.ADAGRAM_PS, OptimizerKind.ADAGRAM_FR}
-)
+# The kinds whose state is an IntegratorState, the only one that reads rank and mu.
+INTEGRATOR_KINDS = frozenset({OptimizerKind.ADAGRAM_PS, OptimizerKind.ADAGRAM_FR})
+ADAGRAM_KINDS = INTEGRATOR_KINDS | {OptimizerKind.ADAGRAM_EXACT}
 
 
 @dataclass
@@ -260,7 +260,7 @@ def _init_state(kind: OptimizerKind, shape: tuple[int, int], eps, rank: int, mu)
         return ShampooState.init(*shape, eps)
     if kind is OptimizerKind.ADAGRAM_EXACT:
         return ExactPQState(dim, eps)
-    if kind in ADAGRAM_KINDS:
+    if kind in INTEGRATOR_KINDS:
         variant = (IntegratorVariant.PROJECTOR_SPLITTING if kind is OptimizerKind.ADAGRAM_PS
                    else IntegratorVariant.TRUNCATED_SVD)
         # Rank above the parameter count buys nothing; clamp it.
@@ -270,12 +270,13 @@ def _init_state(kind: OptimizerKind, shape: tuple[int, int], eps, rank: int, mu)
 class Optimizer:
     """A kind's step rule and its state.  From one config it steps m x n
     weights, the K = 1 view of the code that steps (K, m, n) weights from a
-    list of K configs of one kind and rank.  Each subclass steps by its
-    kind's ``*_step`` function."""
+    list of K configs of one kind and rank.  A baseline kind steps by its
+    ``*_step`` function, looked up by name at each call so that a wrapper
+    put on it (a traced run's) is the one called; AdaGram overrides ``step``.
+    The step functions take it as their config: a stack's has an lr per cell."""
 
     def __init__(self, cfg: OptimizerConfig | list[OptimizerConfig],
                  shape: tuple[int, int]):
-        self.cfg, self.shape = cfg, shape
         cfgs = cfg if isinstance(cfg, list) else [cfg]
         if len({(c.kind, c.rank) for c in cfgs}) != 1:
             raise ValueError("a stack of cells shares one kind and rank")
@@ -284,10 +285,17 @@ class Optimizer:
             eps, mu = np.array([c.eps for c in cfgs]), [c.mu for c in cfgs]
         else:
             self.learning_rate, eps, mu = cfg.learning_rate, cfg.eps, cfg.mu
-        self.state = _init_state(cfgs[0].kind, shape, eps, cfgs[0].rank, mu)
+        self.kind = cfgs[0].kind
+        self.state = _init_state(self.kind, shape, eps, cfgs[0].rank, mu)
 
     def step(self, params: ParamState, grad: np.ndarray) -> ParamState:
-        raise NotImplementedError
+        if self.kind is OptimizerKind.SGD:
+            return sgd_step(params, grad, self)
+        if self.kind is OptimizerKind.ADAGRAD_DIAG:
+            return adagrad_diag_step(params, grad, self.state, self)
+        if self.kind is OptimizerKind.ADAGRAD_FULL:
+            return adagrad_full_step(params, grad, self.state, self)
+        return shampoo_step(params, grad, self.state, self)
 
     def select(self, keep: np.ndarray) -> None:
         """Keep the cells of a stack where ``keep`` is true."""
@@ -302,43 +310,13 @@ class Optimizer:
             self.state = state.select(keep)
 
 
-# The step rules take an Optimizer for their config: a stack's has an lr per cell.
-
-class Sgd(Optimizer):
-    def step(self, params, grad):
-        return sgd_step(params, grad, self)
-
-
-class AdaGradDiag(Optimizer):
-    def step(self, params, grad):
-        return adagrad_diag_step(params, grad, self.state, self)
-
-
-class AdaGradFull(Optimizer):
-    def step(self, params, grad):
-        return adagrad_full_step(params, grad, self.state, self)
-
-
-class Shampoo(Optimizer):
-    def step(self, params, grad):
-        return shampoo_step(params, grad, self.state, self)
-
-
 class AdaGram(Optimizer):
     def step(self, params, grad):
         return adagram_step(params, grad, self.state, self)
 
 
-_BUILDERS = {
-    OptimizerKind.SGD: Sgd,
-    OptimizerKind.ADAGRAD_DIAG: AdaGradDiag,
-    OptimizerKind.ADAGRAD_FULL: AdaGradFull,
-    OptimizerKind.SHAMPOO: Shampoo,
-    **dict.fromkeys(ADAGRAM_KINDS, AdaGram),
-}
-
-
 def make_optimizer(cfg: OptimizerConfig | list[OptimizerConfig],
                    shape: tuple[int, int]) -> Optimizer:
     """The optimizer of one config, or of a stack from a list of configs."""
-    return _BUILDERS[(cfg[0] if isinstance(cfg, list) else cfg).kind](cfg, shape)
+    kind = (cfg[0] if isinstance(cfg, list) else cfg).kind
+    return (AdaGram if kind in ADAGRAM_KINDS else Optimizer)(cfg, shape)

@@ -254,6 +254,39 @@ class TestPreparedData:
                     make_cfg(kind=kind, rank=2, epochs=2, dataset="synthetic:dense"))
         assert calls == []
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("kind", list(OptimizerKind))
+    def test_diverged_cells_leave_every_kinds_stack(self, kind, monkeypatch):
+        # lr = 1.7e308 overflows the weights within the first epoch, so each
+        # kind's stack state drops those cells; the others stay as if alone.
+        from adagram.optim import Optimizer
+
+        kept = []
+        real_select = Optimizer.select
+        monkeypatch.setattr(Optimizer, "select",
+                            lambda opt, keep: kept.append(keep.tolist()) or real_select(opt, keep))
+        base = make_cfg(kind=kind, rank=2, mu=0.9, epochs=2, dataset="synthetic:dense",
+                        n_features=4)
+        result = grid_search({"learning_rate": [0.1, 1.7e308], "eps": [1e-2, 1e-300]}, base)
+        assert len(result.entries) == 4
+        assert any(True in keep and False in keep for keep in kept)
+        for cfg, record in result.entries:
+            huge = cfg.optimizer.learning_rate > 1.0
+            assert record.diverged == huge and (record.rows == []) == huge
+            if not huge:
+                assert rows_without_wall_clock(record) == \
+                    rows_without_wall_clock(run_experiment(cfg))
+
+    def test_gaussian_init_cell_matches_run_alone(self):
+        base = make_cfg(kind=OptimizerKind.SHAMPOO, epochs=2, weight_init="gaussian", seed=4)
+        result = grid_search({"learning_rate": [0.0, 0.2], "eps": [1e-2, 1.0]}, base)
+        for cfg, record in result.entries:
+            assert rows_without_wall_clock(record) == \
+                rows_without_wall_clock(run_experiment(cfg))
+        # At lr = 0 the first loss is the init's: not the zero weights' log 2.
+        still = next(r for c, r in result.entries if c.optimizer.learning_rate == 0.0)
+        assert still.rows[0].train_loss != pytest.approx(math.log(2.0))
+
     def test_stack_of_unlike_cells_refused(self):
         a, b = make_cfg(batch_size=16), make_cfg(batch_size=64)
         with pytest.raises(ConfigError, match="stack"):
@@ -357,6 +390,31 @@ class TestGridSearch:
         ada_cfgs = expand_grid(space, make_cfg(kind=OptimizerKind.ADAGRAM_PS))
         assert len(sgd_cfgs) == 1
         assert len(ada_cfgs) == 4
+
+    def test_exact_grid_has_no_rank_or_mu_axis(self, tmp_path, capsys):
+        # The exact backend reads neither setting: one cell per (lr, eps,
+        # batch size), each its lone run, with rank and mu left empty.
+        base = make_cfg(kind=OptimizerKind.ADAGRAM_EXACT, epochs=2, dataset="synthetic:dense")
+        space = {"learning_rate": [0.1, 0.5], "eps": [1e-2, 1.0], "batch_size": [32, 64],
+                 "rank": [1, 2], "mu": [0.9, 1.0]}
+        result = grid_search(space, base)
+        assert len(result.entries) == 8
+        for cfg, record in result.entries:
+            assert rows_without_wall_clock(record) == \
+                rows_without_wall_clock(run_experiment(cfg))
+        path = tmp_path / "summary.tsv"
+        write_summary_tsv(result, str(path))
+        rows = [l.split("\t") for l in path.read_text().splitlines()]
+        for key in ("rank", "mu"):
+            assert {r[rows[0].index(key)] for r in rows[1:]} == {""}
+        grid_file = tmp_path / "grid.cfg"
+        grid_file.write_text("lr = 0.1, 0.5\nrank = 1, 2\nmu = 0.9, 1.0\n")
+        assert cli_main(["--dataset", "synthetic:dense", "--optimizer", "adagram_exact",
+                         "--epochs", "1", "--n-samples", "120", "--n-features", "4",
+                         "--grid", str(grid_file), "--out", str(tmp_path / "out")]) == 0
+        best = capsys.readouterr().out
+        assert best.startswith("best: adagram_exact") and "rank" not in best
+        assert len(os.listdir(tmp_path / "out")) == 2 + 1
 
     def test_selection_pure_function_of_records(self):
         base = make_cfg(epochs=2)

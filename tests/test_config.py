@@ -119,3 +119,44 @@ def test_grid_file_int_and_float_give_one_hash(tmp_path):
         names.append(sorted(f for f in os.listdir(out) if f.endswith(".csv")))
     assert names[0] == names[1] and len(names[0]) == 1
 
+
+
+@pytest.mark.parametrize("text, flags, message", [
+    ("lr 0.1\n", (), "expected 'key = value'"),
+    ("momentum = 0.9\n", (), "unknown config keys: ['momentum']"),
+    ("batch_size = 0\n", (), "batch_size must be >= 1, got 0"),
+    ("", ("--epochs", "0"), "epochs must be >= 1, got 0"),
+    ("test_fraction = 1.0\n", (), "test_fraction must lie in (0, 1), got 1.0"),
+    ("weight_init = ones\n", (), "unknown weight_init 'ones'"),
+])
+def test_out_of_range_setting_is_config_error(tmp_path, capsys, text, flags, message):
+    code, meta = run_from_file(tmp_path, text, *flags)
+    assert (code, meta) == (2, None)
+    assert message in capsys.readouterr().err
+
+
+def test_missing_config_file_is_config_error(tmp_path, capsys):
+    path = tmp_path / "absent.cfg"
+    assert cli_main(["--config", str(path)]) == 2
+    assert f"config file not found: {path}" in capsys.readouterr().err
+
+
+def test_empty_grid_file_is_config_error(tmp_path, capsys):
+    grid = tmp_path / "grid.cfg"
+    grid.write_text("# no axes\n\n")
+    code = cli_main(["--dataset", "synthetic:dense", "--optimizer", "sgd", *SMALL_RUN,
+                     "--grid", str(grid)])
+    assert code == 2
+    assert f"grid file {grid} defines no values" in capsys.readouterr().err
+
+
+def test_no_bias_flag_trains_on_one_fewer_feature(tmp_path, monkeypatch):
+    from adagram import bench
+
+    shapes = []
+    real = bench.make_optimizer
+    monkeypatch.setattr(bench, "make_optimizer",
+                        lambda cfgs, shape: shapes.append(shape) or real(cfgs, shape))
+    metas = [run_from_file(tmp_path, "", *flags)[1] for flags in ((), ("--no-bias",))]
+    assert [m["add_bias"] for m in metas] == ["True", "False"]
+    assert shapes == [(1, 4), (1, 3)]

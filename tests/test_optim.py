@@ -5,9 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from adagram import optim
 from adagram.optim import (
+    ADAGRAM_KINDS,
+    AdaGram,
     FullAdaGradState,
     NonFiniteGradientError,
+    Optimizer,
     OptimizerConfig,
     OptimizerKind,
     ParamState,
@@ -289,6 +293,36 @@ def test_stack_steps_each_cell_as_alone(kind, shape, rank):
             for g in grads:
                 alone = opt.step(alone, g[k])
             assert params.weights[k].tobytes() == alone.weights.tobytes()
+
+
+@pytest.mark.parametrize("kind", list(OptimizerKind))
+def test_nan_gradient_spoils_only_its_cell(kind):
+    # The NaN cell's gradient is zeroed for the step, then its weights are
+    # set to NaN; the other cell steps bitwise as it does alone.
+    rng = np.random.default_rng(9)
+    cells = [cfg(kind=kind, lr=lr, eps=0.5, rank=2, mu=0.9) for lr in (0.3, 0.1)]
+    stack, alone = make_optimizer(cells, (2, 3)), make_optimizer(cells[1], (2, 3))
+    grads = rng.standard_normal((2, 2, 2, 3))
+    grads[1, 0, 1, 2] = np.nan
+    params, lone = ParamState(np.zeros((2, 2, 3))), ParamState.zeros(2, 3)
+    for g in grads:
+        params, lone = stack.step(params, g), alone.step(lone, g[1])
+    assert np.isnan(params.weights[0]).all()
+    assert params.weights[1].tobytes() == lone.weights.tobytes()
+
+
+@pytest.mark.parametrize("kind", list(OptimizerKind))
+def test_each_kind_steps_by_its_module_level_rule(kind, monkeypatch):
+    # Traced runs wrap the module's functions, so a step must look its rule
+    # up by name when it is called.
+    name = "adagram_step" if kind in ADAGRAM_KINDS else f"{kind.value}_step"
+    rule, calls = getattr(optim, name), []
+    monkeypatch.setattr(optim, name, lambda *a: calls.append(name) or rule(*a))
+    opt = make_optimizer([cfg(kind=kind, rank=2)] * 2, (1, 3))
+    assert type(opt) is (AdaGram if kind in ADAGRAM_KINDS else Optimizer)
+    opt.step(ParamState(np.zeros((2, 1, 3))), np.ones((2, 1, 3)))
+    assert calls == [name]
+    assert Optimizer.__subclasses__() == [AdaGram]
 
 
 class TestPermutationEquivariance:
