@@ -120,7 +120,6 @@ def test_grid_file_int_and_float_give_one_hash(tmp_path):
     assert names[0] == names[1] and len(names[0]) == 1
 
 
-
 @pytest.mark.parametrize("text, flags, message", [
     ("lr 0.1\n", (), "expected 'key = value'"),
     ("momentum = 0.9\n", (), "unknown config keys: ['momentum']"),
