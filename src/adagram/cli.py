@@ -4,7 +4,8 @@ Single run:   adagram --dataset synthetic:dense --optimizer adagram_ps --lr 0.1 
 Grid search:  adagram --dataset path/to/heart --optimizer adagram_ps --grid grid.cfg --out results/
 Invariants:   adagram --verify
 
-Exit codes: 0 success, 2 configuration error, 3 divergence, 4 invariant failure.
+Exit codes: 0 success, 2 configuration error (an input or output path that
+cannot be read or written included), 3 divergence, 4 invariant failure.
 """
 
 from __future__ import annotations
@@ -152,7 +153,7 @@ def main(argv=None) -> int:
         if args.grid:
             return _run_grid(cfg, args.grid, args.out, args.workers)
         return _run_single(cfg)
-    except (ConfigError, DataError, PreconditionerBudgetError, ValueError) as exc:
+    except (ConfigError, DataError, PreconditionerBudgetError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -70,16 +70,11 @@ class LowRankFactors:
         return LowRankFactors(self.u[idx], self.s[idx], self.v[idx])
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """A @ x without forming A, cost O(n r).  A vector is multiplied as
-        a column of a stack is, by the same BLAS calls."""
-        if x.ndim == 1:
-            return self.u @ (self.s @ (self.v.T @ x))
+        """A @ x without forming A, cost O(n r), for a vector or a stack."""
         return (self.u @ (self.s @ (_t(self.v) @ x[..., None])))[..., 0]
 
     def apply_transpose(self, x: np.ndarray) -> np.ndarray:
         """A.T @ x without forming A, cost O(n r)."""
-        if x.ndim == 1:
-            return self.v @ (self.s.T @ (self.u.T @ x))
         return (self.v @ (_t(self.s) @ (_t(self.u) @ x[..., None])))[..., 0]
 
 
@@ -227,9 +222,7 @@ def projector_splitting_step(factors: LowRankFactors,
     """
     _check_increment(factors, inc)
     u0, s0, v0 = factors.u, factors.s, factors.v
-    a, b, weight = inc.a, inc.b, inc.weight
-    if not isinstance(weight, float):  # one per slice
-        weight = np.asarray(weight)[..., None]
+    a, b, weight = inc.a, inc.b, np.asarray(inc.weight)[..., None]  # one per slice
 
     bv = weight * (b[..., None, :] @ v0)[..., 0, :]     # row of dA @ v0
     k1 = u0 @ s0
@@ -269,7 +262,7 @@ def rank_one_svd_combine(factors: LowRankFactors,
     bases = np.concatenate([factors.u.reshape(k, n, r), factors.v.reshape(k, n, r)])
     coeff, resid, norm = _split_against_basis(
         bases, np.concatenate([inc.a.reshape(k, n), inc.b.reshape(k, n)]))
-    w = np.reshape(inc.weight, (-1, 1, 1)) if k > 1 else inc.weight  # one per slice
+    w = np.reshape(inc.weight, (-1, 1, 1))  # one per slice
     side = np.concatenate([coeff, norm[:, None]], axis=1)
     core = np.zeros((k, r + 1, r + 1))
     core[:, :r, :r] = factors.s.reshape(k, r, r)

@@ -110,18 +110,16 @@ class IntegratorState:
         mus = list(mu) if self.eps.ndim else [mu]
         if any(x is not None and not 0.0 <= x <= 1.0 for x in mus):
             raise ValueError(f"mu must lie in [0, 1], got {mu}")
-        # History and increment weights: (mu, 1 - mu), (1, 1) without mu,
-        # and None for both where no cell has a mu.
-        self._weigh(*((None, None) if mus == [None] * len(mus) else
-                      (np.reshape([1.0 if x is None else x for x in mus], self.eps.shape),
-                       np.reshape([1.0 if x is None else 1.0 - x for x in mus], self.eps.shape))))
+        # History and increment weights: (mu, 1 - mu), or (1, 1) without mu.
+        self._weigh(np.reshape([1.0 if x is None else x for x in mus], self.eps.shape),
+                    np.reshape([1.0 if x is None else 1.0 - x for x in mus], self.eps.shape))
         self.factors = zero_factors(dim, rank,
                                     (self.eps if self.live is None else self.live).shape)
         self.rank, self.variant, self.t = self.factors.rank, variant, 0
 
     def _weigh(self, hist, inc) -> None:
         self.hist, self.inc = hist, inc
-        self.live = None if inc is None or inc.all() else np.flatnonzero(inc)
+        self.live = None if inc.all() else np.flatnonzero(inc)
         self.weights = ((hist, inc) if self.live is None else
                         (np.ravel(hist)[self.live], np.ravel(inc)[self.live]))
 
@@ -132,8 +130,7 @@ class IntegratorState:
     def select(self, keep) -> "IntegratorState":  # keep: a mask over the cells
         self.eps = self.eps[keep]
         self.factors = self.factors.take(keep if self.live is None else keep[self.live])
-        if self.hist is not None:
-            self._weigh(self.hist[keep], self.inc[keep])
+        self._weigh(self.hist[keep], self.inc[keep])
         return self
 
 
@@ -152,10 +149,8 @@ def _check_vector(state: PreconditionerState, g: np.ndarray) -> np.ndarray:
 def apply_inverse(state: PreconditionerState, g: np.ndarray) -> np.ndarray:
     """Transformed gradient (I - P Q^T) g / sqrt(eps), cost O(n t) or O(n r)."""
     g = _check_vector(state, g)
-    y = g / (np.sqrt(state.eps[:, None]) if state.eps.ndim else math.sqrt(state.eps))
+    y = g / np.sqrt(state.eps)[..., None]
     if isinstance(state, ExactPQState):
-        if state.t == 0:
-            return y
         return y - (state.p @ (state.q.swapaxes(-1, -2) @ y[..., None]))[..., 0]
     if state.live is None:
         return y - state.factors.apply(y)
@@ -220,8 +215,8 @@ def update_integrator(state: IntegratorState, gbar: np.ndarray,
     a = gbar, b = gbar - V S^T U^T gbar, weight = beta.  With a memory
     weight mu the represented matrix becomes mu * A + (1 - mu) * dA, for
     both variants: the core is scaled by mu and the weight by 1 - mu here;
-    without one the increment accumulates unweighted.  gbar must be finite;
-    ``norm_sq`` may give ||gbar||^2 as :func:`squared_norm` does.
+    without one both scale by 1, so the increment accumulates.  gbar must
+    be finite; ``norm_sq`` may give ||gbar||^2 as :func:`squared_norm` does.
     """
     gbar = _check_vector(state, gbar)
     if norm_sq is None:
@@ -234,11 +229,9 @@ def update_integrator(state: IntegratorState, gbar: np.ndarray,
         gbar, norm_sq = gbar[state.live], norm_sq[state.live]
     beta = beta_of(alpha_of(norm_sq), norm_sq)
     b = gbar - factors.apply_transpose(gbar)
-    if hist is not None:
-        factors = LowRankFactors(factors.u, hist[..., None, None] * factors.s, factors.v)
+    factors = LowRankFactors(factors.u, hist[..., None, None] * factors.s, factors.v)
     step = (projector_splitting_step if state.variant is IntegratorVariant.PROJECTOR_SPLITTING
             else rank_one_svd_combine)
-    state.factors = step(factors, RankOneIncrement.trusted(gbar, b,
-                                                           beta if inc is None else beta * inc))
+    state.factors = step(factors, RankOneIncrement.trusted(gbar, b, beta * inc))
     state.t += 1
     return state

@@ -13,6 +13,7 @@ from adagram.bench import (
     RunRecord,
     config_hash,
     expand_grid,
+    make_config,
 )
 from adagram.cli import main as cli_main
 from adagram.optim import OptimizerConfig
@@ -159,3 +160,27 @@ def test_no_bias_flag_trains_on_one_fewer_feature(tmp_path, monkeypatch):
     metas = [run_from_file(tmp_path, "", *flags)[1] for flags in ((), ("--no-bias",))]
     assert [m["add_bias"] for m in metas] == ["True", "False"]
     assert shapes == [(1, 4), (1, 3)]
+
+
+@pytest.mark.parametrize("flag", ["--dataset", "--config", "--grid", "--out"])
+def test_directory_path_is_config_error(tmp_path, capsys, flag):
+    # Reading or writing a directory as a file fails after the path checks.
+    given = {"--dataset": "synthetic:dense", "--optimizer": "sgd", flag: str(tmp_path)}
+    assert cli_main([*(x for kv in given.items() for x in kv), *SMALL_RUN]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path) in err
+
+
+def test_seed_flag_seeds_the_data_and_the_weights(tmp_path):
+    code, meta = run_from_file(tmp_path, "", "--seed", "7")
+    assert code == 0 and (meta["seed"], meta["opt_seed"]) == ("7", "7")
+    given = {"dataset": "synthetic:dense", "kind": "adagram_ps", "epochs": 1,
+             "n_samples": 60, "n_features": 3}
+    assert meta["config_hash"] == config_hash(make_config({**given, "seed": 7, "opt_seed": 7}))
+
+
+def test_none_names_the_unset_value(tmp_path):
+    metas = [run_from_file(tmp_path, text, *flags)[1]
+             for text, flags in (("", ()), ("", ("--mu", "none")), ("rho = none\n", ()))]
+    assert all((m["mu"], m["rho"]) == ("None", "None") for m in metas)
+    assert len({m["config_hash"] for m in metas}) == 1

@@ -384,6 +384,17 @@ class TestDeflation:
         out = rank_one_svd_combine(factors, inc)
         assert np.isnan(out.u).all() and np.isnan(out.v).all()
 
+    def test_svd_of_a_stack_retries_slice_by_slice(self):
+        # A NaN core fails the stacked LAPACK call: the other cores get the
+        # bits of their lone SVD, and it gets NaN.
+        cores = np.random.default_rng(43).standard_normal((3, 5, 5))
+        cores[1, 2, 3] = np.nan
+        out = lowrank_mod._svd(cores)
+        for k in (0, 2):
+            lone = np.linalg.svd(cores[k], full_matrices=False)
+            assert [x[k].tobytes() for x in out] == [x.tobytes() for x in lone]
+        assert all(np.isnan(x[1]).all() for x in out)
+
     def test_truncation_gap_scan(self):
         # The scan behind --verify's truncation_optimality, at its own seed.
         assert truncation_gap(np.random.default_rng(42), (9, 20), 4, 15, 0.9) <= 1e-11
@@ -409,6 +420,13 @@ class TestFactorsHousekeeping:
         np.testing.assert_allclose(f.apply(x), materialize(f) @ x, atol=1e-12)
         np.testing.assert_allclose(f.apply_transpose(x), materialize(f).T @ x,
                                    atol=1e-12)
+
+    def test_apply_to_a_vector_as_to_a_stack_of_one(self):
+        rng = np.random.default_rng(10)
+        f, x = random_factors(rng, 12, 4), rng.standard_normal(12)
+        one = LowRankFactors(f.u[None], f.s[None], f.v[None])
+        assert f.apply(x).tobytes() == one.apply(x[None]).tobytes()
+        assert f.apply_transpose(x).tobytes() == one.apply_transpose(x[None]).tobytes()
 
 
 def test_no_dense_allocation_in_updates():

@@ -273,6 +273,34 @@ class TestAdaGramStep:
         monkeypatch.setattr(precond, name, step)
         assert out.weights[1].tobytes() == alone.step(ParamState.zeros(1, 4), g).weights.tobytes()
 
+    @staticmethod
+    def spoil_core(monkeypatch, cells):
+        """Make the PS step give a NaN core on ``cells`` of a stack, or alone."""
+        step = precond.projector_splitting_step
+
+        def spoil(factors, inc):
+            out = step(factors, inc)
+            out.s[cells if out.s.ndim == 3 else ...] = np.nan
+            return out
+        monkeypatch.setattr(precond, "projector_splitting_step", spoil)
+
+    def test_non_finite_core_raises_for_a_lone_cell(self, monkeypatch):
+        self.spoil_core(monkeypatch, [])
+        opt = make_optimizer(cfg(kind=OptimizerKind.ADAGRAM_PS, lr=0.1, rank=2), (1, 4))
+        with pytest.raises(NonFiniteGradientError,
+                           match="non-finite preconditioner at step 1"):
+            opt.step(ParamState.zeros(1, 4), np.arange(1.0, 5.0)[None])
+
+    def test_non_finite_core_spoils_only_its_slice(self, monkeypatch):
+        cells = [cfg(kind=OptimizerKind.ADAGRAM_PS, lr=lr, rank=2) for lr in (0.3, 0.2, 0.1)]
+        grads = np.random.default_rng(10).standard_normal((3, 1, 4))
+        lone = [make_optimizer(c, (1, 4)).step(ParamState.zeros(1, 4), g).weights
+                for c, g in zip(cells, grads)]
+        self.spoil_core(monkeypatch, [1])
+        out = make_optimizer(cells, (1, 4)).step(ParamState(np.zeros((3, 1, 4))), grads)
+        assert np.isnan(out.weights[1]).all()
+        assert [out.weights[k].tobytes() for k in (0, 2)] == [lone[k].tobytes() for k in (0, 2)]
+
 
 @pytest.mark.parametrize("kind", list(OptimizerKind))
 @pytest.mark.parametrize("shape, rank", [((2, 5), 3), ((1, 5), 5)])
@@ -366,6 +394,11 @@ class TestConfigValidation:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             OptimizerConfig("kate")
+
+    def test_stack_of_two_ranks_rejected(self):
+        cells = [OptimizerConfig(OptimizerKind.ADAGRAM_PS, rank=r) for r in (2, 3)]
+        with pytest.raises(ValueError, match="one kind and rank"):
+            make_optimizer(cells, (2, 3))
 
     def test_make_optimizer_rank_clamped(self):
         c = OptimizerConfig(OptimizerKind.ADAGRAM_PS, rank=50)
