@@ -7,9 +7,9 @@ writes the perfbench stand-in dataset and grid file for the seed into an
 output directory, and runs through cli.main, in that directory, the ten
 uci_grid grid calls and both wide runs at full epochs.  Each call's exit
 code and printed output are kept there as one more file.  Then every file
-of the two directories is compared, with what a wall clock or the commit
-sets aside: the wall_clock_s and time_to_best_s columns and the `# git:`
-line.  The script prints the count of files compared and each file that
+of the two directories is compared, with what depends on the wall clock
+or the commit set aside: the wall_clock_s and time_to_best_s columns and
+the `# git:` line.  The script prints the count of files compared and each file that
 differs or is missing on one side, and exits 1 on any difference.
 """
 
@@ -33,27 +33,28 @@ CALLS_DIR = "calls"
 SET_ASIDE_COLUMNS = ("wall_clock_s", "time_to_best_s")
 SET_ASIDE_LINES = ("# git:",)
 
-# The child process: argv is the tree's src, the output directory, the
-# seed and the cli.main argvs as JSON.
+# The child process: argv is this repo's root, the tree's src, the output
+# directory, the directory for the calls' files, the seed and the cli.main
+# argvs as JSON.
 _CHILD = r"""
 import contextlib, io, json, os, sys
-src, out, seed, argvs = sys.argv[1], sys.argv[2], int(sys.argv[3]), json.loads(sys.argv[4])
-sys.path[:0] = [src, ROOT]
+root, src, out, calls_dir, seed, argvs = sys.argv[1:]
+sys.path[:0] = [src, root]
 from perfbench import inputs
 import adagram.cli
 if not os.path.abspath(adagram.cli.__file__).startswith(os.path.abspath(src) + os.sep):
     sys.exit(f"adagram imported from {adagram.cli.__file__}, not from {src}")
 os.chdir(out)
 with open(inputs.STANDIN_FILE, "w", encoding="ascii") as fh:
-    fh.write(inputs.standin_libsvm(seed))
+    fh.write(inputs.standin_libsvm(int(seed)))
 with open(inputs.GRID_FILE, "w", encoding="ascii") as fh:
     fh.write(inputs.grid_text())
-os.makedirs(CALLS_DIR)
-for i, argv in enumerate(argvs):
+os.makedirs(calls_dir)
+for i, argv in enumerate(json.loads(argvs)):
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         rc = adagram.cli.main(argv)
-    with open(os.path.join(CALLS_DIR, f"{i:02d}.txt"), "w", encoding="utf-8") as fh:
+    with open(os.path.join(calls_dir, f"{i:02d}.txt"), "w", encoding="utf-8") as fh:
         fh.write(f"argv: {argv}\nexit: {rc}\n--- stdout\n{stdout.getvalue()}"
                  f"--- stderr\n{stderr.getvalue()}")
 """
@@ -72,9 +73,9 @@ def write_outputs(tree: str, argvs: list[list[str]], out: str, seed: int = SEED)
     stand-in and grid file for ``seed``; BLAS threads are pinned to 1."""
     os.makedirs(out)
     env = dict(os.environ, **{v: "1" for v in THREAD_VARS})
-    child = f"ROOT = {ROOT!r}\nCALLS_DIR = {CALLS_DIR!r}\n" + _CHILD
-    subprocess.run([sys.executable, "-c", child, os.path.join(os.path.abspath(tree), "src"),
-                    os.path.abspath(out), str(seed), json.dumps(argvs)],
+    subprocess.run([sys.executable, "-c", _CHILD, ROOT,
+                    os.path.join(os.path.abspath(tree), "src"), os.path.abspath(out),
+                    CALLS_DIR, str(seed), json.dumps(argvs)],
                    env=env, check=True)
 
 

@@ -274,18 +274,18 @@ class TestAdaGramStep:
         assert out.weights[1].tobytes() == alone.step(ParamState.zeros(1, 4), g).weights.tobytes()
 
     @staticmethod
-    def spoil_core(monkeypatch, cells):
-        """Make the PS step give a NaN core on ``cells`` of a stack, or alone."""
+    def spoil_core(monkeypatch, where):
+        """Make the PS step's core NaN at ``where``."""
         step = precond.projector_splitting_step
 
         def spoil(factors, inc):
             out = step(factors, inc)
-            out.s[cells if out.s.ndim == 3 else ...] = np.nan
+            out.s[where] = np.nan
             return out
         monkeypatch.setattr(precond, "projector_splitting_step", spoil)
 
     def test_non_finite_core_raises_for_a_lone_cell(self, monkeypatch):
-        self.spoil_core(monkeypatch, [])
+        self.spoil_core(monkeypatch, ...)
         opt = make_optimizer(cfg(kind=OptimizerKind.ADAGRAM_PS, lr=0.1, rank=2), (1, 4))
         with pytest.raises(NonFiniteGradientError,
                            match="non-finite preconditioner at step 1"):
@@ -296,7 +296,7 @@ class TestAdaGramStep:
         grads = np.random.default_rng(10).standard_normal((3, 1, 4))
         lone = [make_optimizer(c, (1, 4)).step(ParamState.zeros(1, 4), g).weights
                 for c, g in zip(cells, grads)]
-        self.spoil_core(monkeypatch, [1])
+        self.spoil_core(monkeypatch, 1)
         out = make_optimizer(cells, (1, 4)).step(ParamState(np.zeros((3, 1, 4))), grads)
         assert np.isnan(out.weights[1]).all()
         assert [out.weights[k].tobytes() for k in (0, 2)] == [lone[k].tobytes() for k in (0, 2)]
