@@ -1,16 +1,21 @@
 """Check that two source trees write the same benchmark traces.
 
-  python3 scripts/same_traces.py PARENT_TREE CHANGE_TREE [--seed N]
+  python3 scripts/same_traces.py PARENT_TREE CHANGE_TREE [--seed N [N ...]]
 
-For each tree a fresh Python process imports adagram from <tree>/src,
-writes the perfbench stand-in dataset and grid file for the seed into an
-output directory, and runs through cli.main, in that directory, the ten
-uci_grid grid calls and both wide runs at full epochs.  Each call's exit
-code and printed output are kept there as one more file.  Then every file
-of the two directories is compared, with what depends on the wall clock
-or the commit set aside: the wall_clock_s and time_to_best_s columns and
-the `# git:` line.  The script prints the count of files compared and each file that
-differs or is missing on one side, and exits 1 on any difference.
+For each seed and tree a fresh Python process imports adagram from
+<tree>/src, writes the perfbench stand-in dataset and grid file for the
+seed into an output directory, and runs through cli.main, in that
+directory, the ten uci_grid grid calls and both wide runs at full epochs,
+then three single runs on the stand-in that the benchmark never makes: one
+that diverges (exit 3), an adagram_exact run over its budget (exit 2
+before its first step) and one without --out (its trace on stdout).  Each
+call's exit code and printed output, warnings without their source line
+included, are kept there as one more file.
+Then every file of the two directories is compared, with what depends on
+the wall clock or the commit set aside: the wall_clock_s and
+time_to_best_s columns and the `# git:` line.  The script prints, per
+seed, the count of files compared and each file that differs or is
+missing on one side, and exits 1 on any difference.
 """
 
 from __future__ import annotations
@@ -37,8 +42,10 @@ SET_ASIDE_LINES = ("# git:",)
 # directory, the directory for the calls' files, the seed and the cli.main
 # argvs as JSON.
 _CHILD = r"""
-import contextlib, io, json, os, sys
+import contextlib, io, json, os, sys, warnings
 root, src, out, calls_dir, seed, argvs = sys.argv[1:]
+# A warning is kept without the file and line that issued it.
+warnings.formatwarning = lambda message, category, *_: f"{category.__name__}: {message}\n"
 sys.path[:0] = [src, root]
 from perfbench import inputs
 import adagram.cli
@@ -61,10 +68,16 @@ for i, argv in enumerate(json.loads(argvs)):
 
 
 def workload_argvs(seed: int = SEED) -> list[list[str]]:
-    """The cli.main argv of each call: uci_grid's grid calls, then the wide runs."""
+    """The cli.main argv of each call: uci_grid's grid calls, the wide runs,
+    then the single runs that diverge, overrun the exact budget and print."""
     grid = [inputs.grid_argv(kind, bs, f"{kind}_{bs}") for kind, bs in inputs.GRID_CALLS]
     wide = [inputs.wide_argv(w, seed, f"{w}.csv") for w in ("wide_ps", "wide_fr")]
-    return grid + wide
+    single = [inputs.single_argv("adagram_ps", "diverged.csv", 2) + ["--eps", "1e-310"],
+              inputs.single_argv("adagram_exact", "over_budget.csv", 1000)
+              + ["--batch-size", "1"],
+              ["--dataset", inputs.STANDIN_FILE, "--optimizer", "adagram_fr", "--mu", "0.9",
+               "--epochs", "3", "--seed", str(seed)]]
+    return grid + wide + single
 
 
 def write_outputs(tree: str, argvs: list[list[str]], out: str, seed: int = SEED) -> None:
@@ -124,19 +137,21 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("parent", help="source tree whose outputs are the reference")
     p.add_argument("change", help="source tree to check against it")
-    p.add_argument("--seed", type=int, default=SEED,
-                   help="seed of the stand-in and of the wide runs")
+    p.add_argument("--seed", type=int, nargs="+", default=[SEED],
+                   help="seeds of the stand-in and of the runs, one pass each")
     args = p.parse_args(argv)
-    argvs = workload_argvs(args.seed)
-    with tempfile.TemporaryDirectory() as work:
-        outs = [os.path.join(work, name) for name in ("parent", "change")]
-        for tree, out in zip((args.parent, args.change), outs):
-            write_outputs(tree, argvs, out, args.seed)
-        count, differ = compare(*outs)
-    print(f"{count} files compared, {len(differ)} differ")
-    for rel in differ:
-        print(f"  {rel}")
-    return 1 if differ else 0
+    failed = False
+    for seed in args.seed:
+        with tempfile.TemporaryDirectory() as work:
+            outs = [os.path.join(work, name) for name in ("parent", "change")]
+            for tree, out in zip((args.parent, args.change), outs):
+                write_outputs(tree, workload_argvs(seed), out, seed)
+            count, differ = compare(*outs)
+        print(f"seed {seed}: {count} files compared, {len(differ)} differ")
+        for rel in differ:
+            print(f"  {rel}")
+        failed = failed or bool(differ)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -3,7 +3,7 @@
 Runs train a GLM on a synthetic or LIBSVM dataset with one optimizer and
 emit a per-epoch metric trace (CSV).  The cells of a grid that share a
 minibatch stream train in lockstep as one stacked computation; a single
-run is a stack of one.  Wall-clock accounting covers gradient computation
+run is a one-cell grid.  Wall-clock accounting covers gradient computation
 and optimizer steps only; metric evaluation is identical across
 optimizers and excluded.
 """
@@ -308,12 +308,6 @@ def _prepare(cfg: ExperimentConfig):
     return x_train, train.y, x_test, test.y, m, link
 
 
-def _check_budget(cfg: ExperimentConfig, data) -> None:
-    """Refuse an exact-backend run that would overrun its budget."""
-    if cfg.optimizer.kind is OptimizerKind.ADAGRAM_EXACT:
-        precond.check_exact_budget(_steps(cfg, data), data[4] * data[0].shape[1])
-
-
 def _steps(cfg: ExperimentConfig, data) -> int:
     return cfg.epochs * math.ceil(data[0].shape[0] / cfg.batch_size)
 
@@ -346,16 +340,21 @@ def _init_weights(cfg: ExperimentConfig, m: int, n: int) -> np.ndarray:
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunRecord:
-    """Train per the config and return the per-epoch trace: a stack of one.
+    """Train per the config and return the per-epoch trace: a one-cell grid.
 
-    Non-finite losses or gradients truncate the record at the last finite
-    epoch and set the divergence flag.
+    Non-finite losses, gradients, weights or preconditioner state truncate
+    the record at the last finite epoch and set the divergence flag.  An
+    ``output_path`` that cannot be written is refused before the first step.
     """
-    data = _prepare(cfg)
-    _check_budget(cfg, data)
-    record, = run_stack([cfg], data)
-    if cfg.output_path:
-        record.save(cfg.output_path)
+    path = cfg.output_path
+    if path:  # opened as the save opens it, and no file left where there was none
+        existed = os.path.lexists(path)
+        open(path, "a", encoding="ascii").close()
+        if not existed:
+            os.remove(path)
+    record = grid_search({}, cfg).best_record
+    if path:
+        record.save(path)
     return record
 
 
@@ -416,7 +415,7 @@ def _keep(ok, params, wall, stack, optimizer):
     for rec in itertools.compress(stack, ~ok):
         rec.diverged = True
     optimizer.select(ok)
-    return (ParamState(params.weights[ok], params.step), wall[ok],
+    return (ParamState(params.weights[ok]), wall[ok],
             list(itertools.compress(stack, ok)))
 
 
@@ -435,11 +434,10 @@ def expand_grid(space: dict, base: ExperimentConfig) -> list[ExperimentConfig]:
     """Cartesian product over the grid axes that apply to the base kind.
 
     ``space`` maps an axis's attribute name to its values; a missing axis
-    keeps the base value.  Values that name one cell (``0.1, 1e-1``) give
-    it once, where the first of them puts it.
+    keeps the base value, so an empty space gives the base cell.  Values
+    that name one cell (``0.1, 1e-1``) give it once, where the first of
+    them puts it.
     """
-    if not space:
-        raise ConfigError("empty grid")
     axes = [f for f in GRID_AXES if f.applies_to(base.optimizer.kind)]
     values = {f.key: f.get(base) for f in FIELDS}
     configs: dict[str, ExperimentConfig] = {}
@@ -477,8 +475,9 @@ def grid_search(space: dict, base: ExperimentConfig,
         raise ConfigError(f"workers must be >= 1, got {max_workers}")
     configs = expand_grid(space, base)
     data = _prepare(base)  # no grid axis changes the data
-    for cfg in configs:
-        _check_budget(cfg, data)
+    for cfg in configs:  # refuse an exact-backend cell that would overrun its budget
+        if cfg.optimizer.kind is OptimizerKind.ADAGRAM_EXACT:
+            precond.check_exact_budget(_steps(cfg, data), data[4] * data[0].shape[1])
     stacks = _stacks(configs, data)
     run = functools.partial(run_stack, data=data)
     workers = min(max_workers, len(stacks))  # a pool starts all its workers at once

@@ -127,9 +127,10 @@ def _run_single(cfg: ExperimentConfig) -> int:
 def _run_grid(cfg: ExperimentConfig, grid_path: str, out: str | None,
               workers: int) -> int:
     space = _load_grid(grid_path)
+    if out:  # before any cell trains
+        os.makedirs(out, exist_ok=True)
     result = grid_search(space, cfg, max_workers=workers)
     if out:
-        os.makedirs(out, exist_ok=True)
         for entry_cfg, record in result.entries:
             record.save(os.path.join(out, f"{config_hash(entry_cfg)}.csv"))
         write_summary_tsv(result, os.path.join(out, "summary.tsv"))

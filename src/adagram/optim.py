@@ -35,10 +35,6 @@ FULL_MATRIX_CAP = 512
 _EIG_FLOOR = 1e-12
 
 
-class NonFiniteGradientError(ValueError):
-    """Gradient or preconditioner contained NaN or infinity."""
-
-
 class OptimizerKind(str, enum.Enum):
     SGD = "sgd"
     ADAGRAD_DIAG = "adagrad_diag"
@@ -82,10 +78,9 @@ class OptimizerConfig:
 
 @dataclass
 class ParamState:
-    """Weight matrix (or stack) plus step counter; flattening is column-major."""
+    """Weight matrix (or stack); flattening is column-major."""
 
     weights: np.ndarray
-    step: int = 0
 
     def __post_init__(self) -> None:
         self.weights = np.asarray(self.weights, dtype=float)
@@ -95,10 +90,6 @@ class ParamState:
     @classmethod
     def zeros(cls, m: int, n: int) -> "ParamState":
         return cls(np.zeros((m, n)))
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.weights.shape
 
 
 def vec(w: np.ndarray) -> np.ndarray:
@@ -160,23 +151,21 @@ def _nonfinite(x: np.ndarray | float, axes: tuple):
 
 def _step(params: ParamState, grad: np.ndarray, rule) -> ParamState:
     """Step by ``rule(weights, finite gradient) -> (weights, cells whose state
-    went non-finite)``.  One cell raises NonFiniteGradientError where a stacked
-    cell gets NaN weights, and the other cells step as if it were not there."""
+    went non-finite)``.  A cell whose gradient or state is not finite steps
+    with a zero gradient and gets NaN weights, alone or in a stack, and the
+    other cells of a stack step as if it were not there."""
     grad = np.asarray(grad, dtype=float)
-    if grad.shape != params.shape:
-        raise ValueError(f"gradient shape {grad.shape} does not match weights {params.shape}")
+    if grad.shape != params.weights.shape:
+        raise ValueError(
+            f"gradient shape {grad.shape} does not match weights {params.weights.shape}")
     bad = _nonfinite(grad, (-2, -1))
     if bad is not False:
-        if not bad.ndim:
-            raise NonFiniteGradientError(f"non-finite gradient at step {params.step + 1}")
-        grad = np.where(bad[:, None, None], 0.0, grad)
+        grad = np.where(bad[..., None, None], 0.0, grad)
     w, bad_state = rule(params.weights, grad)
     bad = bad | bad_state
     if bad is not False:
-        if not bad.ndim:
-            raise NonFiniteGradientError(f"non-finite preconditioner at step {params.step + 1}")
         w[bad] = np.nan
-    return ParamState(w, params.step + 1)
+    return ParamState(w)
 
 
 def sgd_step(params: ParamState, grad: np.ndarray, cfg: OptimizerConfig) -> ParamState:
@@ -221,19 +210,16 @@ def adagram_step(params: ParamState, grad: np.ndarray,
     preconditioner absorbs it, and the parameter write uses the rescaled
     direction gbar / sqrt(1 + ||gbar||^2) (equivalent to stepping with the
     post-update inverse factor).  A transformed gradient whose squared
-    norm overflows is divergence before any state update; factors that turn
-    non-finite are divergence after it.
+    norm overflows is divergence: the cell's state absorbs a zero gradient.
+    Factors that turn non-finite are divergence after the update.
     """
     def rule(w, g):
         gbar = apply_inverse(state, vec(g))
         norm_sq = squared_norm(gbar)  # a float for one cell
         bad = _nonfinite(norm_sq, ())
         if bad is not False:  # ||gbar||^2 overflowed: the cell has diverged
-            if w.ndim == 2:
-                raise NonFiniteGradientError(
-                    f"non-finite preconditioned gradient at step {params.step + 1}")
             bad = np.reshape(bad, w.shape[:-2])
-            gbar[bad], norm_sq = 0.0, np.where(bad, 0.0, norm_sq)
+            gbar[bad], norm_sq = 0.0, np.where(bad, 0.0, norm_sq)[()]
         if isinstance(state, ExactPQState):
             update_exact(state, gbar)
         else:
@@ -270,7 +256,8 @@ def _init_state(kind: OptimizerKind, shape: tuple[int, int], eps, rank: int, mu)
 class Optimizer:
     """A kind's step rule and its state.  From one config it steps m x n
     weights, the K = 1 view of the code that steps (K, m, n) weights from a
-    list of K configs of one kind and rank.  A baseline kind steps by its
+    list of K configs of one kind and rank: a breakdown gives a lone cell NaN
+    weights as it gives a stacked one.  A baseline kind steps by its
     ``*_step`` function, looked up by name at each call so that a wrapper
     put on it (a traced run's) is the one called; AdaGram overrides ``step``.
     The step functions take it as their config: a stack's has an lr per cell."""

@@ -54,6 +54,13 @@ def rows_without_wall_clock(record):
 
 
 class TestRunExperiment:
+    def test_run_is_a_one_cell_grid(self):
+        cfg = make_cfg(kind=OptimizerKind.ADAGRAM_FR, rank=2, mu=0.9, epochs=2,
+                       dataset="synthetic:dense")
+        (cell, record), = grid_search({}, cfg).entries
+        assert config_hash(cell) == config_hash(cfg)
+        assert rows_without_wall_clock(run_experiment(cfg)) == rows_without_wall_clock(record)
+
     def test_zero_learning_rate_keeps_loss_at_init(self):
         record = run_experiment(make_cfg(lr=0.0, epochs=3))
         losses = [r.train_loss for r in record.rows]
@@ -364,6 +371,16 @@ class TestExactBudget:
         assert code == 2
         assert "budget" in capsys.readouterr().err
 
+    def test_refused_run_leaves_its_out_path_as_it_was(self, tmp_path, capsys):
+        (tmp_path / "old.csv").write_text("kept\n")
+        for name in ("new.csv", "old.csv"):
+            code = cli_main(["--dataset", "synthetic:dense", "--optimizer", "adagram_exact",
+                             "--n-features", "499", "--batch-size", "1", "--epochs", "10",
+                             "--out", str(tmp_path / name)])
+            assert code == 2 and "budget" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["old.csv"]
+        assert (tmp_path / "old.csv").read_text() == "kept\n"
+
 
 class TestGridSearch:
     def test_single_point_space(self):
@@ -485,6 +502,10 @@ class TestGridSearch:
         cfgs = expand_grid({"learning_rate": [0.2, 0.1, 0.20, 1e-1]}, make_cfg())
         assert [c.optimizer.learning_rate for c in cfgs] == [0.2, 0.1]
 
+    def test_empty_space_is_the_base_cell(self):
+        base = make_cfg(kind=OptimizerKind.ADAGRAM_PS, rank=2, mu=0.9)
+        assert [config_hash(c) for c in expand_grid({}, base)] == [config_hash(base)]
+
     def test_empty_space_rejected(self):
         with pytest.raises(ConfigError, match="empty"):
             expand_grid({"learning_rate": []}, make_cfg())
@@ -581,6 +602,22 @@ class TestCli:
                          "--rho", rho, "--epochs", "1"])
         assert code == 2
         assert "rho must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", [False, True])
+    def test_unwritable_out_refused_before_the_first_step(self, grid, tmp_path,
+                                                          monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(bench_mod.glm, "gradient", lambda *a: calls.append(a))
+        (tmp_path / "file").write_text("")
+        (tmp_path / "grid.cfg").write_text("lr = 0.1, 0.2\n")
+        out, errno = ((tmp_path / "file" / "x", "[Errno 20] Not a directory") if grid
+                      else (tmp_path, "[Errno 21] Is a directory"))
+        code = cli_main(["--dataset", "synthetic:isotropic", "--optimizer", "sgd",
+                         "--epochs", "1", "--n-samples", "120", "--n-features", "5",
+                         *(["--grid", str(tmp_path / "grid.cfg")] if grid else []),
+                         "--out", str(out)])
+        assert code == 2 and calls == []
+        assert capsys.readouterr().err == f"error: {errno}: '{out}'\n"
 
     def test_divergence_exit_code(self, tmp_path):
         code = cli_main([

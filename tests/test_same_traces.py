@@ -46,3 +46,24 @@ def test_repo_against_itself(tmp_path):
     edit_column(b / "run.csv", "train_loss", "0.25")
     (b / "calls" / "02.txt").write_text("exit: 0\n")
     assert same_traces.compare(str(a), str(b)) == (6, ["calls/02.txt", "run.csv"])
+
+
+def test_single_run_calls(tmp_path):
+    # After the grid and wide runs: a divergence, an exact run refused over
+    # its budget before it writes a file, and a trace printed on stdout.
+    out = tmp_path / "a"
+    same_traces.write_outputs(str(ROOT), same_traces.workload_argvs(3)[-3:], str(out), 3)
+    diverged, over, printed = [(out / "calls" / f"0{i}.txt").read_text() for i in range(3)]
+    assert "exit: 3" in diverged and "diverged after 0 epochs" in diverged
+    # Its overflow warning is kept without the tree's path and line number.
+    assert "\nRuntimeWarning: overflow" in diverged and ".py:" not in diverged
+    assert "exit: 2" in over and "budget" in over
+    assert "exit: 0" in printed and "\nepoch,wall_clock_s," in printed
+    assert (out / "diverged.csv").exists() and not (out / "over_budget.csv").exists()
+
+
+def test_each_seed_is_one_pass(monkeypatch, capsys):
+    monkeypatch.setattr(same_traces, "workload_argvs", lambda seed: [SMALL_RUN])
+    assert same_traces.main([str(ROOT), str(ROOT), "--seed", "0", "3"]) == 0
+    assert capsys.readouterr().out == ("seed 0: 3 files compared, 0 differ\n"
+                                       "seed 3: 3 files compared, 0 differ\n")
