@@ -330,7 +330,7 @@ class TestExactBudget:
 
     def test_grid_checks_every_cell_first(self, monkeypatch):
         runs = []
-        monkeypatch.setattr(bench_mod, "run_experiment", lambda *a, **kw: runs.append(a))
+        monkeypatch.setattr(bench_mod, "run_stack", lambda *a, **kw: runs.append(a))
         with pytest.raises(PreconditionerBudgetError):
             grid_search({"batch_size": [64, 1]}, make_cfg(**self.OVER))
         assert runs == []
