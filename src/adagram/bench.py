@@ -31,9 +31,10 @@ from .data import (
     CorrelationSpec,
     Dataset,
     SyntheticSpec,
+    _shuffled_rows,
+    _standardize,
     generate_synthetic,
     load_libsvm,
-    split_standardize,
 )
 from .optim import (
     FULL_MATRIX_CAP,
@@ -292,20 +293,22 @@ def resolve_dataset(cfg: ExperimentConfig) -> Dataset:
 
 
 def _prepare(cfg: ExperimentConfig):
-    """The config's split data, read-only: a grid shares it between cells."""
+    """The config's split data, read-only: a grid shares it between cells.
+    At most two copies of the data are held: the source and the one gather,
+    and then (the source dropped) the gather and the statistics' temporary."""
     ds = resolve_dataset(cfg)
-    train, test = split_standardize(ds, cfg.test_fraction, cfg.seed)
-    x_train, x_test = train.x, test.x
-    if cfg.add_bias:
-        x_train = glm.add_bias_column(x_train)
-        x_test = glm.add_bias_column(x_test)
-    if ds.n_classes < 2:
-        raise ConfigError(f"dataset {ds.name!r} has a single class")
-    m = 1 if ds.n_classes == 2 else ds.n_classes
+    n_classes, name, n = ds.n_classes, ds.name, ds.n_features
+    x, y, n_test = _shuffled_rows(ds, cfg.test_fraction, cfg.seed, cfg.add_bias)
+    del ds
+    _standardize(x, n_test, n)
+    if n_classes < 2:
+        raise ConfigError(f"dataset {name!r} has a single class")
+    m = 1 if n_classes == 2 else n_classes
     link = glm.Link.SIGMOID if m == 1 else glm.Link.SOFTMAX
-    for a in (x_train, train.y, x_test, test.y):
+    split = x[n_test:], y[n_test:], x[:n_test], y[:n_test]
+    for a in split:
         a.flags.writeable = False
-    return x_train, train.y, x_test, test.y, m, link
+    return *split, m, link
 
 
 def _steps(cfg: ExperimentConfig, data) -> int:
@@ -358,6 +361,9 @@ def run_experiment(cfg: ExperimentConfig) -> RunRecord:
     return record
 
 
+# A diverging cell overflows on its way to the non-finite values that the
+# checks find, so numpy does not warn about them.
+@np.errstate(over="ignore", invalid="ignore")
 def run_stack(cfgs: list[ExperimentConfig], data) -> list[RunRecord]:
     """Train cells that differ only in learning rate, eps and mu in lockstep.
 
@@ -467,10 +473,11 @@ def select_best(entries) -> int:
 
 def grid_search(space: dict, base: ExperimentConfig,
                 max_workers: int = 1) -> GridResult:
-    """Train every cell and select the best.  The cells with one batch size
-    and rank share a minibatch stream (the shuffle depends on the seed
-    alone) and train in stacks (``_stacks``); up to ``max_workers`` processes,
-    no more than there are stacks, split the grid by stacks."""
+    """Train every cell (a mu = 1 cell once for all ranks) and select the
+    best.  The cells with one batch size and rank share a minibatch stream
+    (the shuffle depends on the seed alone) and train in stacks
+    (``_stacks``); up to ``max_workers`` processes, no more than there are
+    stacks, split the grid by stacks."""
     if max_workers < 1:
         raise ConfigError(f"workers must be >= 1, got {max_workers}")
     configs = expand_grid(space, base)
@@ -478,7 +485,15 @@ def grid_search(space: dict, base: ExperimentConfig,
     for cfg in configs:  # refuse an exact-backend cell that would overrun its budget
         if cfg.optimizer.kind is OptimizerKind.ADAGRAM_EXACT:
             precond.check_exact_budget(_steps(cfg, data), data[4] * data[0].shape[1])
-    stacks = _stacks(configs, data)
+    # At mu = 1 the integrator holds no factors, so the rank does not enter
+    # the trace: of the cells that differ only in rank, the first trains.
+    first, source = {}, {}
+    for cfg in configs:
+        opt = cfg.optimizer
+        key = (tuple(f.get(cfg) for f in FIELDS if f.key != "rank")
+               if opt.kind in INTEGRATOR_KINDS and opt.mu == 1.0 else id(cfg))
+        source[id(cfg)] = first.setdefault(key, cfg)
+    stacks = _stacks(list(first.values()), data)
     run = functools.partial(run_stack, data=data)
     workers = min(max_workers, len(stacks))  # a pool starts all its workers at once
     if workers > 1:
@@ -487,7 +502,10 @@ def grid_search(space: dict, base: ExperimentConfig,
     else:
         results = [run(cells) for cells in stacks]
     record = {id(c): r for cells, recs in zip(stacks, results) for c, r in zip(cells, recs)}
-    entries = [(cfg, record[id(cfg)]) for cfg in configs]
+    trained = [record[id(source[id(cfg)])] for cfg in configs]
+    entries = [(cfg, RunRecord(list(r.rows), {**r.metadata, "config_hash": config_hash(cfg),
+                                              **config_fields(cfg)}, r.diverged))
+               for cfg, r in zip(configs, trained)]
     best = select_best(entries)
     return GridResult(entries[best][0], entries[best][1], entries)
 

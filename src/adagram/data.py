@@ -20,6 +20,8 @@ from .glm import sigmoid
 # Features whose train-split standard deviation falls below this are left
 # unscaled (mean is still removed).
 _CONST_FEATURE_TOL = 1e-12
+# Work done a few rows at a time takes at most this many values per block.
+_BLOCK_VALUES = 8192
 
 
 class DataError(ValueError):
@@ -77,7 +79,9 @@ class CorrelationSpec:
         return ((1.0 - r) / (1.0 + r) if r < 1.0 else 0.0), True
 
     def color(self, z: np.ndarray) -> np.ndarray:
-        """z @ cholesky(matrix()).T for a positive definite matrix(), in O(z.size)."""
+        """Overwrite z with z @ cholesky(matrix()).T, for a positive definite
+        matrix(), in O(z.size) and without a second array of z's size.
+        Returns z."""
         n, rho = self.n_features, self.rho
         if self.kind is CorrelationKind.ISOTROPIC or n == 1:
             return z
@@ -87,15 +91,18 @@ class CorrelationSpec:
             for j in range(1, n):
                 sub[j] = rho / diag[j - 1]
                 diag[j] = math.sqrt(1.0 - sub[j] ** 2)
-            x = z * diag
-            x[:, 1:] += z[:, :-1] * sub[1:]
-            return x
+            block = max(1, _BLOCK_VALUES // n)
+            for start in range(0, len(z), block):  # x_j = d_j z_j + l_j z_{j-1}
+                rows = z[start:start + block]
+                lower = rows[:, :-1] * sub[1:]
+                rows *= diag
+                rows[:, 1:] += lower
+            return z
         # AR(1): x_0 = z_0, x_j = rho x_{j-1} + sqrt(1 - rho^2) z_j.
-        x = z * math.sqrt(1.0 - rho * rho)
-        x[:, 0] = z[:, 0]
+        z[:, 1:] *= math.sqrt(1.0 - rho * rho)
         for j in range(1, n):
-            x[:, j] += rho * x[:, j - 1]
-        return x
+            z[:, j] += rho * z[:, j - 1]
+        return z
 
 
 @dataclass
@@ -169,8 +176,7 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     if theta is None:
         theta = rng.standard_normal(spec.corr.n_features)
         theta *= 3.0 / np.linalg.norm(theta)
-    z = rng.standard_normal((spec.n_samples, spec.corr.n_features))
-    x = spec.corr.color(z)
+    x = spec.corr.color(rng.standard_normal((spec.n_samples, spec.corr.n_features)))
     y = (rng.random(spec.n_samples) < sigmoid(x @ theta)).astype(int)
     return Dataset(x, y, n_classes=2, name=f"synthetic:{spec.corr.kind.value}")
 
@@ -304,29 +310,48 @@ def split_standardize(ds: Dataset, test_fraction: float,
 
     The test size is floor(n_samples * test_fraction).  Each non-constant
     feature is centered and scaled to unit standard deviation (population
-    std); constant features are centered but not scaled.
+    std); constant features are centered but not scaled.  The two x arrays
+    are row blocks of one array.
     """
+    x, y, n_test = _shuffled_rows(ds, test_fraction, seed)
+    means, stds = _standardize(x, n_test, ds.n_features)
+
+    def build(rows, suffix):
+        return Dataset(x[rows], y[rows], n_classes=ds.n_classes,
+                       name=f"{ds.name}/{suffix}" if ds.name else suffix,
+                       feature_means=means.copy(), feature_stds=stds.copy())
+
+    return build(slice(n_test, None), "train"), build(slice(n_test), "test")
+
+
+def _shuffled_rows(ds: Dataset, test_fraction: float, seed: int,
+                  bias: bool = False) -> tuple[np.ndarray, np.ndarray, int]:
+    """The rows of ``ds`` as the seeded shuffle orders them, test rows
+    first, copied a few rows at a time into one new array with a last column
+    of ones if ``bias``; their labels; and the test size."""
     if not 0.0 < test_fraction < 1.0:
         raise DataError(f"test_fraction must lie in (0, 1), got {test_fraction}")
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(ds.n_samples)
+    perm = np.random.default_rng(seed).permutation(ds.n_samples)
     n_test = math.floor(ds.n_samples * test_fraction)
     if n_test < 1 or ds.n_samples - n_test < 1:
         raise DataError(
             f"split leaves an empty side: {ds.n_samples} samples, "
             f"test_fraction {test_fraction}"
         )
-    test_idx, train_idx = perm[:n_test], perm[n_test:]
+    n = ds.n_features
+    x = np.empty((ds.n_samples, n + bias))
+    x[:, n:] = 1.0
+    block = max(1, _BLOCK_VALUES // n)
+    for start in range(0, ds.n_samples, block):
+        x[start:start + block, :n] = ds.x[perm[start:start + block]]
+    return x, ds.y[perm], n_test
 
-    x_train = ds.x[train_idx]
-    means, stds = x_train.mean(axis=0), x_train.std(axis=0)
-    scale = np.where(stds > _CONST_FEATURE_TOL, stds, 1.0)
 
-    def build(x, idx, suffix):  # x: a fresh gather of the rows at idx, scaled in place
-        x -= means
-        x /= scale
-        return Dataset(x, ds.y[idx], n_classes=ds.n_classes,
-                       name=f"{ds.name}/{suffix}" if ds.name else suffix,
-                       feature_means=means.copy(), feature_stds=stds.copy())
-
-    return build(x_train, train_idx, "train"), build(ds.x[test_idx], test_idx, "test")
+def _standardize(x: np.ndarray, n_test: int, n_features: int) -> tuple[np.ndarray, np.ndarray]:
+    """Center and scale the first ``n_features`` columns of ``x`` in place by
+    the means and stds of its train rows, ``x[n_test:]``; returns those."""
+    train = x[n_test:, :n_features]
+    means, stds = train.mean(axis=0), train.std(axis=0)
+    x[:, :n_features] -= means
+    x[:, :n_features] /= np.where(stds > _CONST_FEATURE_TOL, stds, 1.0)
+    return means, stds

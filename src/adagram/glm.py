@@ -178,7 +178,3 @@ def accuracy(model: GlmModel, x: np.ndarray, y: np.ndarray):
     hits = np.mean(predict(model, x) == y, axis=-1)
     return float(hits) if hits.ndim == 0 else hits
 
-
-def add_bias_column(x: np.ndarray) -> np.ndarray:
-    """Append a constant-1 feature column."""
-    return np.hstack([x, np.ones((x.shape[0], 1))])

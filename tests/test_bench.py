@@ -26,7 +26,14 @@ from adagram.bench import (
     write_summary_tsv,
 )
 from adagram.cli import main as cli_main
-from adagram.data import save_libsvm
+from adagram.data import (
+    CorrelationKind,
+    CorrelationSpec,
+    Dataset,
+    SyntheticSpec,
+    generate_synthetic,
+    save_libsvm,
+)
 from adagram.optim import OptimizerConfig, OptimizerKind
 from adagram.precond import PreconditionerBudgetError
 
@@ -137,8 +144,6 @@ class TestRunExperiment:
         assert header == ",".join(CSV_COLUMNS)
 
     def test_libsvm_dataset_path(self, tmp_path):
-        from adagram.data import Dataset
-
         rng = np.random.default_rng(0)
         ds = Dataset(rng.standard_normal((60, 4)), rng.integers(0, 2, 60),
                      n_classes=2, name="file")
@@ -156,8 +161,6 @@ class TestRunExperiment:
             resolve_dataset(make_cfg(dataset="synthetic:weird"))
 
     def test_multiclass_dataset_uses_softmax(self, tmp_path):
-        from adagram.data import Dataset
-
         rng = np.random.default_rng(1)
         ds = Dataset(rng.standard_normal((90, 5)), rng.integers(0, 3, 90),
                      n_classes=3, name="mc")
@@ -194,9 +197,62 @@ class TestPreparedData:
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0
 
-    def test_one_load_per_serial_grid(self, tmp_path, monkeypatch):
-        from adagram.data import Dataset
+    @staticmethod
+    def split_then_bias(ds, test_fraction, seed, add_bias):
+        """The oracle: the four arrays as a gather per side, the train side's
+        statistics and then an appended bias column made them."""
+        perm = np.random.default_rng(seed).permutation(ds.n_samples)
+        n_test = math.floor(ds.n_samples * test_fraction)
+        x_train = ds.x[perm[n_test:]]
+        means, stds = x_train.mean(axis=0), x_train.std(axis=0)
+        scale = np.where(stds > 1e-12, stds, 1.0)
+        out = []
+        for x, idx in ((x_train, perm[n_test:]), (ds.x[perm[:n_test]], perm[:n_test])):
+            x = (x - means) / scale
+            if add_bias:
+                x = np.hstack([x, np.ones((x.shape[0], 1))])
+            out += [x, ds.y[idx]]
+        return out
 
+    @pytest.mark.parametrize("add_bias", [True, False])
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("dataset", ["synthetic:isotropic", "synthetic:tridiagonal",
+                                         "synthetic:dense", "standin", "constant"])
+    def test_prepared_arrays_match_split_then_bias(self, tmp_path, dataset, seed, add_bias):
+        if not dataset.startswith("synthetic:"):  # a LIBSVM file
+            path = str(tmp_path / f"{dataset}.libsvm")
+            if dataset == "standin":  # criterion 8's australian-shaped stand-in
+                spec = SyntheticSpec(CorrelationSpec(CorrelationKind.DENSE, 14, rho=0.8),
+                                     n_samples=690, seed=101)
+                ds = generate_synthetic(spec)
+            else:  # three classes, a constant and an all-zero feature
+                rng = np.random.default_rng(seed)
+                ds = Dataset(rng.standard_normal((97, 6)), rng.integers(0, 3, 97), n_classes=3)
+                ds.x[:, 2], ds.x[:, 5] = 7.25, 0.0
+            save_libsvm(ds, path)
+            dataset = path
+        cfg = make_cfg(dataset=dataset, seed=seed, add_bias=add_bias, n_samples=250,
+                       n_features=30)
+        got = bench_mod._prepare(cfg)
+        want = self.split_then_bias(resolve_dataset(cfg), cfg.test_fraction, seed, add_bias)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                g[0] = 0
+
+    def test_prepare_holds_the_data_about_twice(self):
+        # The wide runs' size: the shuffled rows are gathered once, and the
+        # source is dropped before the train statistics take their temporary.
+        cfg = make_cfg(dataset="synthetic:dense", n_features=1023, n_samples=400)
+        tracemalloc.start()
+        try:
+            data = bench_mod._prepare(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * sum(a.nbytes for a in data[:4])
+
+    def test_one_load_per_serial_grid(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(2)
         path = tmp_path / "toy.libsvm"
         save_libsvm(Dataset(rng.standard_normal((80, 3)), rng.integers(0, 2, 80),
@@ -400,6 +456,26 @@ class TestGridSearch:
             {"learning_rate": [0.01, 0.1, 0.5], "eps": [1e-4, 1e-2, 1.0]}, base
         )
         assert len(result.entries) == 9
+
+    @pytest.mark.parametrize("kind", [OptimizerKind.ADAGRAM_PS, OptimizerKind.ADAGRAM_FR])
+    def test_mu_one_trains_once_across_ranks(self, monkeypatch, kind):
+        # At mu = 1 the rank does not enter the trace: the rank-5 cell takes
+        # the rank-1 cell's rows under its own hash and settings.
+        built = []
+        real_make = bench_mod.make_optimizer
+        monkeypatch.setattr(bench_mod, "make_optimizer", lambda cfgs, shape: built.extend(
+            (c.learning_rate, c.rank) for c in cfgs if c.mu == 1.0) or real_make(cfgs, shape))
+        base = make_cfg(kind=kind, epochs=2, dataset="synthetic:dense")
+        result = grid_search({"learning_rate": [0.1, 1.0], "rank": [1, 5], "mu": [0.9, 1.0]},
+                             base)
+        assert sorted(built) == [(0.1, 1), (1.0, 1)]
+        monkeypatch.undo()
+        alone = [run_experiment(cfg) for cfg, _ in result.entries]
+        for (cfg, record), solo in zip(result.entries, alone):
+            assert record.metadata["config_hash"] == config_hash(cfg)
+            assert rows_without_wall_clock(record) == rows_without_wall_clock(solo)
+        best = select_best([(cfg, solo) for (cfg, _), solo in zip(result.entries, alone)])
+        assert result.best_config is result.entries[best][0]
 
     def test_rank_mu_axes_only_for_adagram(self):
         space = {"learning_rate": [0.1], "rank": [1, 2], "mu": [None, 0.9]}

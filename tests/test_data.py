@@ -122,6 +122,7 @@ class TestClosedForms:
             z = rng.standard_normal((40, n))
             want = z @ np.linalg.cholesky(spec.matrix()).T
             got = spec.color(z)
+            assert got is z  # colored in place
             assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("kind", list(CorrelationKind))

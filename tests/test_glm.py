@@ -10,7 +10,6 @@ from adagram.glm import (
     GlmModel,
     Link,
     accuracy,
-    add_bias_column,
     batch_hessian,
     check_labels,
     gradient,
@@ -189,12 +188,6 @@ class TestHelpers:
         x = np.array([[2.0, 0.0], [-3.0, 1.0]])
         np.testing.assert_array_equal(predict(model, x), [1, 0])
         assert accuracy(model, x, np.array([1, 1])) == 0.5
-
-    def test_add_bias_column(self):
-        x = np.zeros((3, 2))
-        out = add_bias_column(x)
-        assert out.shape == (3, 3)
-        np.testing.assert_array_equal(out[:, 2], np.ones(3))
 
     def test_batch_validation(self):
         with pytest.raises(ValueError):
