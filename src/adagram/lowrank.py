@@ -20,13 +20,33 @@ updates and the Householder fallback of the QR run slice by slice.
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dger as _dger
-from scipy.linalg.lapack import (dgetrf as _dgetrf, dgetri as _dgetri, dpotrf as _dpotrf,
-                                  dtrtri as _dtrtri)
+
+
+def _scipy_linalg_module(name: str):
+    """The compiled module ``scipy.linalg.<name>``, loaded without running
+    scipy/linalg/__init__.py and the array-API layer it imports;
+    scipy.linalg's ``lapack`` and ``blas`` re-export these very objects."""
+    fullname = f"scipy.linalg.{name}"
+    package = importlib.util.find_spec("scipy.linalg")
+    spec = package and importlib.machinery.PathFinder.find_spec(
+        fullname, package.submodule_search_locations)
+    if spec is None:
+        raise ImportError(f"cannot find the compiled module {fullname}", name=fullname)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_flapack = _scipy_linalg_module("_flapack")
+_dgetrf, _dgetri, _dpotrf, _dtrtri = (_flapack.dgetrf, _flapack.dgetri, _flapack.dpotrf,
+                                      _flapack.dtrtri)
+_dger = _scipy_linalg_module("_fblas").dger
 
 # Residual directions smaller than this (relative to the update vector) are
 # treated as lying inside the current subspace.

@@ -1,5 +1,12 @@
 """Tests for the rank-r factorization updates."""
 
+import importlib.machinery
+import importlib.util
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -445,3 +452,38 @@ def test_no_dense_allocation_in_updates():
     tracemalloc.stop()
     # n*n float64 would be 128 MiB; factored updates need a few n*r buffers.
     assert peak < 64 * n * (r + 4)
+
+
+_SAME_ROUTINES = """
+from adagram import lowrank
+from scipy.linalg import blas, lapack
+for name in ("dpotrf", "dtrtri", "dgetrf", "dgetri"):
+    assert getattr(lowrank, "_" + name) is getattr(lapack, name), name
+assert lowrank._dger is blas.dger
+"""
+
+
+class TestScipyRoutines:
+    @pytest.mark.parametrize("scipy_first", [False, True])
+    def test_routines_are_scipy_linalgs_without_importing_it(self, scipy_first):
+        # A fresh interpreter: the package import leaves scipy.linalg unloaded,
+        # and scipy.linalg, imported before or after, hands out the same objects.
+        first = ("import scipy.linalg\nimport adagram.cli\n" if scipy_first else
+                 "import sys\nimport adagram.cli\nassert 'scipy.linalg' not in sys.modules\n")
+        src = str(pathlib.Path(lowrank_mod.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", first + _SAME_ROUTINES],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("owner, missing", [
+        (importlib.util, "scipy.linalg"),
+        (importlib.machinery.PathFinder, "scipy.linalg._flapack"),
+    ], ids=["package", "module"])
+    def test_a_module_not_found_is_an_import_error_naming_it(self, monkeypatch, owner, missing):
+        real = owner.find_spec
+        monkeypatch.setattr(owner, "find_spec",
+                            lambda fullname, *a: None if fullname == missing else real(fullname, *a))
+        with pytest.raises(ImportError, match=r"scipy\.linalg\._flapack") as info:
+            lowrank_mod._scipy_linalg_module("_flapack")
+        assert info.value.name == "scipy.linalg._flapack"
