@@ -17,7 +17,6 @@ from .data import (
     generate_synthetic,
     load_libsvm,
     parse_libsvm,
-    split_standardize,
 )
 from .glm import Batch, GlmModel, Link
 from .lowrank import (

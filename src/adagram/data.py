@@ -126,14 +126,12 @@ class SyntheticSpec:
 
 @dataclass
 class Dataset:
-    """Dense features, integer labels, and the standardization record."""
+    """Dense features and integer labels."""
 
     x: np.ndarray
     y: np.ndarray
     n_classes: int
     name: str = ""
-    feature_means: np.ndarray | None = None
-    feature_stds: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         self.x = np.asarray(self.x, dtype=float)
@@ -186,91 +184,74 @@ def parse_libsvm(source, name: str = "") -> Dataset:
 
     Missing indices are zero; the maximum index defines the feature count.
     Labels are remapped to 0..K-1 by sorted order, so binary files using
-    {-1,+1} or {1,2} land on {0,1}.  Well-formed text is converted in bulk,
-    anything else by the line parser, whose first error is the input's.
+    {-1,+1} or {1,2} land on {0,1}.  The text is converted in bulk, 32 lines
+    at a time, so few token strings live at once; a block that does not
+    convert is read again line by line for its first bad line.
     """
-    lines = source.split("\n") if isinstance(source, str) else source
-    parsed = _parse_regular(lines)
-    if parsed is None and lines is source:
-        source.seek(0)  # the line parser reads the file again from its start
-    x, labels = parsed or _parse_lines(lines)
+    lines = iter(source.split("\n") if isinstance(source, str) else source)
+    labels, blocks = [], []
+    for k, block in enumerate(iter(lambda: list(itertools.islice(lines, 32)), [])):
+        try:
+            blocks.append(_convert(block, labels))
+        except (ValueError, OverflowError, MemoryError):
+            _raise_first_error(block, first=32 * k + 1)
     if not labels:
         raise DataError("empty LIBSVM input")
+    x = np.zeros((len(labels), max(b.shape[1] for b in blocks)))
+    for end, b in zip(np.cumsum([len(b) for b in blocks]), blocks):
+        x[end - len(b):end, :b.shape[1]] = b
     classes, y = np.unique(labels, return_inverse=True)
     return Dataset(x, y, n_classes=len(classes), name=name)
 
 
-def _parse_regular(lines):
-    """x and the labels of ``lines``, read by the line parser's int and float
-    calls from the same substrings, or None where they are not well formed.
-    A file is read 32 lines at a time, so few token strings live at once."""
-    labels, blocks, lines = [], [], iter(lines)
-    try:
-        for block in iter(lambda: list(itertools.islice(lines, 32)), []):
-            rows = [tokens for tokens in map(str.split, block) if tokens]
-            feats = [tok for tokens in rows for tok in tokens[1:]]
-            parts = ":".join(feats).split(":") if feats else []  # index, value, ...
-            if len(parts) != 2 * len(feats) or not all(":" in tok for tok in feats):
-                return None
-            labels += [float(tokens[0]) for tokens in rows]
-            counts = np.fromiter(map(len, rows), np.int64, len(rows)) - 1
-            idx = np.array(parts[::2], dtype=np.int64)  # numpy reads each str by int()
-            prev = np.concatenate([[0], idx[:-1]])
-            prev[(np.cumsum(counts) - counts)[counts > 0]] = 0  # each row starts after 0
-            if not (idx > prev).all():
-                return None
-            blocks.append(np.zeros((len(rows), idx.max(initial=0))))
-            blocks[-1][np.repeat(np.arange(len(rows)), counts), idx - 1] = np.fromiter(
-                map(float, parts[1::2]), float, len(feats))
-    except (ValueError, OverflowError, MemoryError):  # a huge index: the line parser's error
-        return None
-    if not (labels and all(map(math.isfinite, labels))):
-        return None
-    x = np.zeros((len(labels), max(b.shape[1] for b in blocks)))
-    for end, b in zip(np.cumsum([len(b) for b in blocks]), blocks):
-        x[end - len(b):end, :b.shape[1]] = b
-    return x, labels
+def _convert(block, labels: list[float]) -> np.ndarray:
+    """The rows of ``block`` read by int() and float() from their tokens, with
+    their labels appended to ``labels``; a ValueError if not well formed."""
+    rows = [tokens for tokens in map(str.split, block) if tokens]
+    feats = [tok for tokens in rows for tok in tokens[1:]]
+    parts = ":".join(feats).split(":") if feats else []  # index, value, ...
+    new = [float(tokens[0]) for tokens in rows]
+    if (len(parts) != 2 * len(feats) or not all(":" in tok for tok in feats)
+            or not all(map(math.isfinite, new))):
+        raise ValueError
+    counts = np.fromiter(map(len, rows), np.int64, len(rows)) - 1
+    idx = np.array(parts[::2], dtype=np.int64)  # numpy reads each str by int()
+    prev = np.concatenate([[0], idx[:-1]])
+    prev[(np.cumsum(counts) - counts)[counts > 0]] = 0  # each row starts after 0
+    if not (idx > prev).all():
+        raise ValueError
+    x = np.zeros((len(rows), idx.max(initial=0)))
+    x[np.repeat(np.arange(len(rows)), counts), idx - 1] = np.fromiter(
+        map(float, parts[1::2]), float, len(feats))
+    labels += new
+    return x
 
 
-def _parse_lines(lines) -> tuple[np.ndarray, list[float]]:
-    """x and the labels, line by line, raising at the first bad line."""
-    rows: list[dict[int, float]] = []
-    labels: list[float] = []
-    n_features = 0
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        tokens = line.split()
+def _raise_first_error(block, first: int):
+    """Raise the error of the first bad line of ``block``, numbered from
+    ``first``: a bad label or token, or indices out of order; else the
+    line of the block's largest index, which did not fit an array."""
+    top, top_line = 0, first
+    for lineno, tokens in enumerate(map(str.split, block), start=first):
         try:
-            label = float(tokens[0])
+            label = float(tokens[0]) if tokens else 0.0  # a blank line has none
         except ValueError:
             label = math.nan
         if not math.isfinite(label):  # a NaN would make a class of its own
             raise DataError(f"line {lineno}: bad label {tokens[0]!r}")
-        labels.append(label)
-        entries: dict[int, float] = {}
-        prev_idx = 0
+        prev = 0
         for tok in tokens[1:]:
             idx_str, _, val_str = tok.partition(":")
             try:
-                idx = int(idx_str)
-                val = float(val_str)
+                idx, _ = int(idx_str), float(val_str)
             except ValueError:
                 raise DataError(f"line {lineno}: bad feature token {tok!r}") from None
-            if idx <= prev_idx:
-                raise DataError(
-                    f"line {lineno}: indices must be increasing and >= 1, got {idx}"
-                )
-            prev_idx = idx
-            entries[idx] = val
-        n_features = max(n_features, prev_idx)
-        rows.append(entries)
-    x = np.zeros((len(rows), n_features))
-    for i, entries in enumerate(rows):
-        for idx, val in entries.items():
-            x[i, idx - 1] = val
-    return x, labels
+            if idx <= prev:
+                raise DataError(f"line {lineno}: indices must be increasing and >= 1, got {idx}")
+            prev = idx
+        if prev > top:
+            top, top_line = prev, lineno
+    raise DataError(f"line {top_line}: feature index {top} is too large")
 
 
 def serialize_libsvm(ds: Dataset) -> str:
@@ -304,26 +285,6 @@ def save_libsvm(ds: Dataset, path: str) -> None:
         fh.write(serialize_libsvm(ds))
 
 
-def split_standardize(ds: Dataset, test_fraction: float,
-                      seed: int) -> tuple[Dataset, Dataset]:
-    """Seeded shuffle and split; standardization is fit on train only.
-
-    The test size is floor(n_samples * test_fraction).  Each non-constant
-    feature is centered and scaled to unit standard deviation (population
-    std); constant features are centered but not scaled.  The two x arrays
-    are row blocks of one array.
-    """
-    x, y, n_test = _shuffled_rows(ds, test_fraction, seed)
-    means, stds = _standardize(x, n_test, ds.n_features)
-
-    def build(rows, suffix):
-        return Dataset(x[rows], y[rows], n_classes=ds.n_classes,
-                       name=f"{ds.name}/{suffix}" if ds.name else suffix,
-                       feature_means=means.copy(), feature_stds=stds.copy())
-
-    return build(slice(n_test, None), "train"), build(slice(n_test), "test")
-
-
 def _shuffled_rows(ds: Dataset, test_fraction: float, seed: int,
                   bias: bool = False) -> tuple[np.ndarray, np.ndarray, int]:
     """The rows of ``ds`` as the seeded shuffle orders them, test rows
@@ -347,11 +308,10 @@ def _shuffled_rows(ds: Dataset, test_fraction: float, seed: int,
     return x, ds.y[perm], n_test
 
 
-def _standardize(x: np.ndarray, n_test: int, n_features: int) -> tuple[np.ndarray, np.ndarray]:
+def _standardize(x: np.ndarray, n_test: int, n_features: int) -> None:
     """Center and scale the first ``n_features`` columns of ``x`` in place by
-    the means and stds of its train rows, ``x[n_test:]``; returns those."""
+    the means and stds of its train rows, ``x[n_test:]``."""
     train = x[n_test:, :n_features]
     means, stds = train.mean(axis=0), train.std(axis=0)
     x[:, :n_features] -= means
     x[:, :n_features] /= np.where(stds > _CONST_FEATURE_TOL, stds, 1.0)
-    return means, stds

@@ -29,8 +29,10 @@ from adagram.cli import main as cli_main
 from adagram.data import (
     CorrelationKind,
     CorrelationSpec,
+    DataError,
     Dataset,
     SyntheticSpec,
+    _shuffled_rows,
     generate_synthetic,
     save_libsvm,
 )
@@ -196,6 +198,30 @@ class TestPreparedData:
         for a in (x_train, y_train, x_test, y_test):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0
+
+    def test_690_rows_split_552_138(self):
+        x_train, y_train, x_test, y_test, _, _ = bench_mod._prepare(
+            make_cfg(dataset="synthetic:dense", n_samples=690, n_features=14))
+        assert x_train.shape == (552, 15) and y_train.shape == (552,)
+        assert x_test.shape == (138, 15) and y_test.shape == (138,)
+
+    def test_split_leaving_an_empty_side_is_refused(self):
+        cfg = make_cfg(n_samples=690, test_fraction=0.001)  # floor(0.69) test rows
+        with pytest.raises(DataError, match="split leaves an empty side"):
+            bench_mod._prepare(cfg)
+        ds = resolve_dataset(cfg)
+        for fraction in (0.0, 1.0):
+            with pytest.raises(DataError, match=r"test_fraction must lie in \(0, 1\)"):
+                _shuffled_rows(ds, fraction, seed=0)
+
+    def test_train_block_standardized(self):
+        x_train, _, x_test, _, _, _ = bench_mod._prepare(
+            make_cfg(dataset="synthetic:dense", n_samples=690, n_features=14, seed=1,
+                     add_bias=False))
+        assert np.abs(x_train.mean(axis=0)).max() <= 1e-10
+        assert np.abs(x_train.std(axis=0) - 1.0).max() <= 1e-10
+        # The test block takes the train block's statistics, so it is not at 0.
+        assert np.abs(x_test.mean(axis=0)).max() > 0
 
     @staticmethod
     def split_then_bias(ds, test_fraction, seed, add_bias):

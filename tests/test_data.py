@@ -1,12 +1,12 @@
 """Tests for synthetic generation and LIBSVM ingestion."""
 
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from adagram import cli
-from adagram import data as data_mod
 from adagram.data import (
     CorrelationKind,
     CorrelationSpec,
@@ -17,7 +17,6 @@ from adagram.data import (
     load_libsvm,
     parse_libsvm,
     serialize_libsvm,
-    split_standardize,
 )
 from adagram.glm import sigmoid
 
@@ -256,12 +255,13 @@ class TestParseLibsvm:
         assert np.array_equal(again.x, x)
 
 
-def random_libsvm(rng: np.random.Generator) -> str:
+def random_libsvm(rng: np.random.Generator) -> tuple[str, list[float], np.ndarray]:
     """LIBSVM text with dense, sparse and bare-label rows, blank lines, mixed
-    separators and line ends, several label spellings and exponents."""
+    separators and line ends, several label spellings and exponents; and the
+    labels and dense rows it wrote, each read back by float()."""
     n_features = int(rng.integers(1, 9))
-    labels = ["+1", "-1", "1", "2", "0.5", "-2e0", "3", "1.0E+1"]
-    lines = []
+    label_texts = ["+1", "-1", "1", "2", "0.5", "-2e0", "3", "1.0E+1"]
+    lines, labels, rows = [], [], []
     for i in range(int(rng.integers(1, 25))):
         kind = "dense" if i == 0 else rng.choice(["dense", "sparse", "bare", "blank"])
         if kind == "blank":
@@ -269,23 +269,24 @@ def random_libsvm(rng: np.random.Generator) -> str:
             continue
         idx = (np.arange(1, n_features + 1) if kind == "dense" else
                np.flatnonzero(rng.random(n_features) < 0.4) + 1 if kind == "sparse" else [])
-        tokens = [str(rng.choice(labels))]
+        tokens = [str(rng.choice(label_texts))]
+        labels.append(float(tokens[0]))
+        rows.append(np.zeros(n_features))
         for j in idx:
             v = float(rng.standard_normal() * 10.0 ** rng.integers(-5, 6))
             text = rng.choice([repr(v), f"{v:.3e}", f"{v:.6E}", str(int(v)), f"+{abs(v)!r}"])
             tokens.append(f"{j}:{text}")
+            rows[-1][j - 1] = float(text)
         seps = [str(rng.choice([" ", "\t", "   ", " \t "])) for _ in tokens]
         lines.append(str(rng.choice(["", " "])) + "".join(t + s for t, s in zip(tokens, seps)))
     text = "".join(line + str(rng.choice(["\n", "\r\n"])) for line in lines)
-    return text if rng.random() < 0.5 else text.rstrip("\r\n")
+    return text if rng.random() < 0.5 else text.rstrip("\r\n"), labels, np.array(rows)
 
 
 class TestParseFastPath:
-    """The bulk conversion against the line parser, which it defers to."""
-
-    @staticmethod
-    def line_parser(monkeypatch):
-        monkeypatch.setattr(data_mod, "_parse_regular", lambda lines: None)
+    """The bulk conversion against what a line-by-line reading of the text
+    gives: int() of each index and float() of each label and value, and for
+    malformed text the first bad line, numbered from the start of the input."""
 
     @staticmethod
     def outcome(text):
@@ -296,12 +297,13 @@ class TestParseFastPath:
         return ds.x.shape, ds.x.tobytes(), ds.y.tolist(), ds.n_classes, ds.name
 
     @pytest.mark.parametrize("seed", range(40))
-    def test_random_text_matches_the_line_parser_bitwise(self, seed, monkeypatch):
-        text = random_libsvm(np.random.default_rng(seed))
-        assert data_mod._parse_regular(text.split("\n")) is not None  # the fast path takes it
-        fast = self.outcome(text)
-        self.line_parser(monkeypatch)
-        assert self.outcome(text) == fast
+    def test_random_text_matches_the_line_parser_bitwise(self, seed):
+        text, labels, x = random_libsvm(np.random.default_rng(seed))
+        ds = parse_libsvm(text)
+        classes = sorted(set(labels))
+        assert ds.x.shape == x.shape and ds.x.tobytes() == x.tobytes()
+        assert ds.y.tolist() == [classes.index(label) for label in labels]
+        assert ds.n_classes == len(classes)
 
     @pytest.mark.parametrize("text, message", [
         ("1 1:1\n1 nonsense\n", "line 2: bad feature token 'nonsense'"),
@@ -322,21 +324,46 @@ class TestParseFastPath:
         ("\n \n\t\n", "empty LIBSVM input"),
         ("1 1:nan\n", "dataset 't' contains non-finite features"),
         ("1 1:1e999\n", "dataset 't' contains non-finite features"),
-        ("1 99999999999999999999:1\n", "Maximum allowed dimension exceeded"),  # not int64
+        ("1 99999999999999999999:1\n",  # not int64
+         "line 1: feature index 99999999999999999999 is too large"),
+        ("1 1:1\n1 2:1 99999999999:1\n\n1 3:1\n", "line 2: feature index 99999999999 is too large"),
+        ("1 1:1\n" * 32 + "1 x\n", "line 33: bad feature token 'x'"),  # the second block
+        ("1 1:1\n" * 32 + "\n" * 8 + "nan 1:1\n" + "1 1:1\n" * 29, "line 41: bad label 'nan'"),
+        ("-1 1:1\n" * 40 + "1 3:1 2:1\n" + "1 1:1\n" * 29,
+         "line 41: indices must be increasing and >= 1, got 2"),
     ])
-    def test_malformed_input_keeps_the_line_parsers_message(self, text, message, monkeypatch):
-        fast = self.outcome(text)
-        assert fast[1] == message
-        self.line_parser(monkeypatch)
-        assert self.outcome(text) == fast
+    def test_malformed_input_keeps_the_line_parsers_message(self, text, message):
+        assert self.outcome(text)[1] == message
 
     @pytest.mark.parametrize("text", ["1 1_0:5\n", "1 1:1_5\n", "+1 2:-0.0\n", "1 01:1\n"])
-    def test_tokens_int_and_float_accept_read_alike(self, text, monkeypatch):
-        fast = self.outcome(text)
-        self.line_parser(monkeypatch)
-        assert self.outcome(text) == fast
+    def test_tokens_int_and_float_accept_read_alike(self, text):
+        idx, val = text.split()[1].split(":")
+        want = np.zeros((1, int(idx)))
+        want[0, -1] = float(val)
+        assert self.outcome(text)[:2] == (want.shape, want.tobytes())
 
-    def test_file_is_read_as_the_line_parser_reads_it(self, tmp_path, monkeypatch):
+    def test_bad_line_of_a_pipe_is_reported(self, capsys):
+        lines = (line for line in ["1 1:1", "0 x"])  # no seek, no second pass
+        with pytest.raises(DataError, match="^line 2: bad feature token 'x'$"):
+            parse_libsvm(lines)
+        r, w = os.pipe()
+        try:
+            os.write(w, b"1 1:1\n0 x\n")
+            os.close(w)
+            argv = ["--dataset", f"/dev/fd/{r}", "--optimizer", "sgd", "--epochs", "1"]
+            assert cli.main(argv) == cli.EXIT_CONFIG
+        finally:
+            os.close(r)
+        assert "error: line 2: bad feature token 'x'\n" in capsys.readouterr().err
+
+    def test_huge_index_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "huge.libsvm"
+        path.write_text("1 99999999999:1\n")
+        argv = ["--dataset", str(path), "--optimizer", "sgd", "--epochs", "1"]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert "error: line 1: feature index 99999999999 is too large\n" in capsys.readouterr().err
+
+    def test_file_reports_a_bad_line_before_a_later_bad_byte(self, tmp_path):
         good = "1 1:1\n" * 2000  # past one read chunk
         files = {"late": good + "1 1:\xe9\n", "bad_line_first": "1 x\n" + good + "1 1:\xe9\n"}
         for name, text in files.items():
@@ -352,49 +379,6 @@ class TestParseFastPath:
         for name in files:
             argv = ["--dataset", str(tmp_path / name), "--optimizer", "sgd", "--epochs", "1"]
             assert cli.main(argv) == cli.EXIT_CONFIG
-
-
-class TestSplitStandardize:
-    @staticmethod
-    def make(n=690, f=14, seed=0):
-        rng = np.random.default_rng(seed)
-        x = rng.standard_normal((n, f)) * 3.0 + 1.0
-        return Dataset(x, rng.integers(0, 2, n), n_classes=2, name="d")
-
-    def test_690_rows_split_552_138(self):
-        train, test = split_standardize(self.make(), 0.2, seed=0)
-        assert train.n_samples == 552
-        assert test.n_samples == 138
-
-    def test_seeded_split_reproducible(self):
-        a_train, a_test = split_standardize(self.make(), 0.25, seed=9)
-        b_train, b_test = split_standardize(self.make(), 0.25, seed=9)
-        assert np.array_equal(a_train.x, b_train.x)
-        assert np.array_equal(a_test.y, b_test.y)
-
-    def test_train_standardized(self):
-        train, test = split_standardize(self.make(), 0.2, seed=1)
-        assert np.abs(train.x.mean(axis=0)).max() <= 1e-10
-        assert np.abs(train.x.std(axis=0) - 1.0).max() <= 1e-10
-        # Test split uses train statistics, so it is close to but not at 0/1.
-        assert np.abs(test.x.mean(axis=0)).max() > 0
-
-    def test_constant_feature_left_unscaled(self):
-        ds = self.make(n=50, f=3)
-        ds.x[:, 1] = 7.0
-        train, _ = split_standardize(ds, 0.2, seed=2)
-        np.testing.assert_allclose(train.x[:, 1], 0.0, atol=1e-12)
-
-    def test_fraction_validated(self):
-        with pytest.raises(DataError):
-            split_standardize(self.make(), 0.0, seed=0)
-        with pytest.raises(DataError):
-            split_standardize(self.make(), 1.0, seed=0)
-
-    def test_standardization_record_stored(self):
-        train, test = split_standardize(self.make(), 0.2, seed=3)
-        assert train.feature_means is not None
-        assert np.array_equal(train.feature_means, test.feature_means)
 
 
 def test_dataset_rejects_non_finite():
