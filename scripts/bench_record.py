@@ -111,8 +111,9 @@ def main(argv=None) -> int:
             for i, label in enumerate(call_labels(name))]
     layers = [m["name"] for m in spec["per_layer"]]
     for name, seed_list in map(seeds, args.trace):
-        record["traces"][name] = [
-            {"seed": s, **{side: {k: v for k, v in load(d, name, s, 1)["metrics"].items()
+        record["traces"][name] = [  # result.metrics also lists an absent layer, at 0.0
+            {"seed": s, **{side: {k: m["value"]
+                                  for k, m in load(d, name, s, 1)["result"]["metrics"].items()
                                   if k in layers}
                            for side, d in (("parent", args.parent), ("change", args.change))}}
             for s in seed_list]

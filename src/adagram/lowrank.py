@@ -275,47 +275,54 @@ def rank_one_svd_combine(factors: LowRankFactors,
     A side whose residual direction is missing (a in span(u), b in span(v),
     or rank = dim) has a zero row or column in M, and takes x or y =
     e_last, which drops it exactly.  Rank-deficient input never errors.
+    The input is left as it is: the step runs on a stacked copy of its bases.
     """
     _check_increment(factors, inc)
-    k, (n, r) = math.prod(factors.u.shape[:-2]), factors.u.shape[-2:]
-    # Both sides as one stack, u first: the bases' copy becomes the new bases.
-    bases = np.concatenate([factors.u.reshape(k, n, r), factors.v.reshape(k, n, r)])
-    coeff, resid, norm = _split_against_basis(
-        bases, np.concatenate([inc.a.reshape(k, n), inc.b.reshape(k, n)]))
+    return _combine_in_place(np.array([factors.u, factors.v]), factors.s, inc)
+
+
+def _combine_in_place(bases: np.ndarray, s: np.ndarray,
+                      inc: RankOneIncrement) -> LowRankFactors:
+    """:func:`rank_one_svd_combine` of the factors (bases[0], s, bases[1]),
+    where ``bases`` is C-contiguous: it writes the new bases over the old
+    ones, and returns factors whose bases are bases[0] and bases[1]."""
+    k, (n, r) = math.prod(s.shape[:-2]), bases.shape[-2:]
+    flat = bases.reshape(2 * k, n, r)  # a view: the K slices of u, then those of v
+    side, resid = _split_against_basis(flat, np.array([inc.a, inc.b]).reshape(2 * k, n))
     w = np.reshape(inc.weight, (-1, 1, 1))  # one per slice
-    side = np.concatenate([coeff, norm[:, None]], axis=1)
     core = np.zeros((k, r + 1, r + 1))
-    core[:, :r, :r] = factors.s.reshape(k, r, r)
+    core[:, :r, :r] = s.reshape(k, r, r)
     core += w * (side[:k, :, None] * side[k:, None, :])
 
     xy, found = _deflation(core)
     if not found.all():  # a core with a missing direction is singular: never found
-        missing = (norm == 0.0).reshape(2, k)
+        missing = (side[:, r] == 0.0).reshape(2, k)
         redo = ~found & ~missing.all(axis=0)  # not found, and at least one direction
         if redo.any():
             uk, _, vkt = _svd(core[redo])
             xy[0, redo], xy[1, redo] = uk[:, :, r], vkt[:, r, :]
         xy[missing] = _eye(r + 1)[r]
-    u1, s1, v1 = _reflect_out(core, bases, resid, xy)
-    return LowRankFactors(u1.reshape(factors.u.shape), s1.reshape(factors.s.shape),
-                          v1.reshape(factors.v.shape))
+    return LowRankFactors(bases[0], _reflect_out(core, flat, resid, xy).reshape(s.shape),
+                          bases[1])
 
 
 def _reflect_out(core, bases, resid, xy):
     """Drop each core's smallest triplet, whose singular vectors are xy[0]
-    and xy[1] (overwritten): each side's basis augmented by its residual
-    direction, times that side's reflector I - 2 h h^T that maps its vector
-    to the last coordinate, and the core between them, each cut to its
-    leading r columns.  A basis cut so is the basis minus
+    and xy[1] (overwritten, as resid is): each side's basis augmented by
+    its residual direction, times that side's reflector I - 2 h h^T that
+    maps its vector to the last coordinate, and the core between them, each
+    cut to its leading r columns.  A basis cut so is the basis minus
     2 (basis h[:r] + residual h[r]) h[:r]^T: one BLAS rank-1 update of
-    ``bases``, in place where they are contiguous."""
+    ``bases`` in place.  Returns the reflected cores."""
     r, k, hs = bases.shape[-1], len(core), xy.reshape(-1, xy.shape[-1])
     hs[:, -1] += np.copysign(1.0, hs[:, -1])  # (I - 2 h h^T) v = -+e_last
     hs /= np.sqrt(_sqnorm(hs))[:, None]
-    c = (bases @ hs[:, :r, None])[..., 0] + resid * hs[:, r:]
+    resid *= hs[:, r:]
+    c = (bases @ hs[:, :r, None])[..., 0]
+    c += resid
     for hk, ck, ak in zip(hs[:, :r], c, _t(bases)):
         _dger(-2.0, hk, ck, a=ak, overwrite_a=True)
-    return bases[:k], _reflected_core(core, hs[:k], hs[k:]), bases[k:]
+    return _reflected_core(core, hs[:k], hs[k:])
 
 
 def _svd(core: np.ndarray):
@@ -409,19 +416,23 @@ def _reflected_core(core, hx, hy):
 
 
 def _split_against_basis(basis: np.ndarray, vec: np.ndarray):
-    """Split each vec of a stack into in-span coefficients, a unit residual
-    direction and the residual norm; the norm is 0 (the direction moot) where
-    the residual is negligible, including where the basis spans the space."""
+    """Each vec of a stack in its basis augmented by its unit residual
+    direction: the r coefficients and the residual norm, and the direction,
+    written over vec.  The norm is 0 (the direction moot) where the residual
+    is negligible, including where the basis spans the space."""
+    n, r = basis.shape[1:]
     vec = vec[:, :, None]
-    coeff = _t(basis) @ vec
-    resid = vec - basis @ coeff
+    side = np.empty((len(basis), r + 1, 1))
+    coeff, norm = side[:, :r], side[:, r:]
+    scale = np.maximum(1.0, np.sqrt(_t(vec) @ vec))
+    np.matmul(_t(basis), vec, out=coeff)
+    vec -= basis @ coeff
     # One reorthogonalization pass keeps the augmented basis orthonormal.
-    correction = _t(basis) @ resid
-    resid -= basis @ correction
+    correction = _t(basis) @ vec
+    vec -= basis @ correction
     coeff += correction
-    norm = np.sqrt(_t(resid) @ resid)
+    np.sqrt(_t(vec) @ vec, out=norm)
     # Where the basis spans the whole space the residual is round-off.
-    norm *= (basis.shape[2] < basis.shape[1]) & (
-        norm > _SUBSPACE_TOL * np.maximum(1.0, np.sqrt(_t(vec) @ vec)))
-    resid /= norm + (norm == 0.0)
-    return coeff[:, :, 0], resid[:, :, 0], norm[:, 0, 0]
+    norm *= norm > _SUBSPACE_TOL * scale if r < n else 0.0
+    vec /= norm + (norm == 0.0)
+    return side[:, :, 0], vec[:, :, 0]

@@ -28,8 +28,8 @@ import numpy as np
 from .lowrank import (
     LowRankFactors,
     RankOneIncrement,
+    _combine_in_place,
     projector_splitting_step,
-    rank_one_svd_combine,
     zero_factors,
 )
 
@@ -113,9 +113,9 @@ class IntegratorState:
         # History and increment weights: (mu, 1 - mu), or (1, 1) without mu.
         self._weigh(np.reshape([1.0 if x is None else x for x in mus], self.eps.shape),
                     np.reshape([1.0 if x is None else 1.0 - x for x in mus], self.eps.shape))
-        self.factors = zero_factors(dim, rank,
-                                    (self.eps if self.live is None else self.live).shape)
-        self.rank, self.variant, self.t = self.factors.rank, variant, 0
+        self.variant, self.t = variant, 0
+        self._hold(zero_factors(dim, rank, (self.eps if self.live is None else self.live).shape))
+        self.rank = self.factors.rank
 
     def _weigh(self, hist, inc) -> None:
         self.hist, self.inc = hist, inc
@@ -127,9 +127,17 @@ class IntegratorState:
     def dim(self) -> int:
         return self.factors.dim
 
+    def _hold(self, factors: LowRankFactors) -> None:
+        """Hold ``factors``; the truncated-SVD variant holds its u and v as
+        the halves of one C-contiguous array, which its step overwrites."""
+        if self.variant is IntegratorVariant.TRUNCATED_SVD:
+            self._bases = np.array([factors.u, factors.v])
+            factors = LowRankFactors(self._bases[0], factors.s, self._bases[1])
+        self.factors = factors
+
     def select(self, keep) -> "IntegratorState":  # keep: a mask over the cells
         self.eps = self.eps[keep]
-        self.factors = self.factors.take(keep if self.live is None else keep[self.live])
+        self._hold(self.factors.take(keep if self.live is None else keep[self.live]))
         self._weigh(self.hist[keep], self.inc[keep])
         return self
 
@@ -229,9 +237,11 @@ def update_integrator(state: IntegratorState, gbar: np.ndarray,
         gbar, norm_sq = gbar[state.live], norm_sq[state.live]
     beta = beta_of(alpha_of(norm_sq), norm_sq)
     b = gbar - factors.apply_transpose(gbar)
-    factors = LowRankFactors(factors.u, hist[..., None, None] * factors.s, factors.v)
-    step = (projector_splitting_step if state.variant is IntegratorVariant.PROJECTOR_SPLITTING
-            else rank_one_svd_combine)
-    state.factors = step(factors, RankOneIncrement.trusted(gbar, b, beta * inc))
+    increment, s = RankOneIncrement.trusted(gbar, b, beta * inc), hist[..., None, None] * factors.s
+    if state.variant is IntegratorVariant.PROJECTOR_SPLITTING:
+        factors = LowRankFactors(factors.u, s, factors.v)
+        state.factors = projector_splitting_step(factors, increment)
+    else:  # on the held bases, in place
+        state.factors = _combine_in_place(state._bases, s, increment)
     state.t += 1
     return state

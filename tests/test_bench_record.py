@@ -53,12 +53,18 @@ class TestSummary:
 
 
 def write_results(path, seeds, trace, metrics_of, commit, workload="wide_fr",
-                  calls_of=lambda seed: [[1.0]]):
+                  calls_of=lambda seed: [[1.0]], absent=()):
+    """Result files as perfbench/run.py writes them: the workload's raw
+    metrics, without a layer the tree does not have, and the result's,
+    which report such a layer as 0.0 and list it under absent_layers."""
     path.mkdir(parents=True, exist_ok=True)
     for seed in seeds:
+        metrics = metrics_of(seed)
+        result = {k: {"value": 0.0 if k in absent else v, "unit": "s"} for k, v in metrics.items()}
         record = {"machine": {"git_commit": commit, "src_tree": commit + "-tree", "cpus": 2},
-                  "result": {"correct": True}, "metrics": metrics_of(seed),
-                  "pass_call_s": calls_of(seed)}
+                  "result": {"correct": True, "metrics": result},
+                  "metrics": {k: v for k, v in metrics.items() if k not in absent},
+                  "absent_layers": list(absent), "pass_call_s": calls_of(seed)}
         (path / f"{workload}-seed{seed}-trace{trace}.json").write_text(json.dumps(record))
 
 
@@ -87,6 +93,21 @@ def test_record_from_result_files(tmp_path):
         assert s["gain_rule_met"] == lower
     assert record["traces"]["wide_fr"] == [
         {"seed": 1, "parent": {"lowrank.self_s": 1.0}, "change": {"lowrank.self_s": 0.5}}]
+
+
+def test_a_layer_absent_on_one_side_is_listed_on_both(tmp_path):
+    layers = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
+    gone = "data.split_standardize.calls"
+    for side, absent in (("parent", ()), ("change", (gone,))):
+        write_results(tmp_path / side, [1], 1, lambda seed: dict.fromkeys(layers, 1.0), side,
+                      absent=absent)
+    out = tmp_path / "BENCH.json"
+    assert bench_record.main(["--parent", str(tmp_path / "parent"), "--change",
+                              str(tmp_path / "change"), "--trace", "wide_fr:1",
+                              "--out", str(out)]) == 0
+    (trace,) = json.loads(out.read_text())["traces"]["wide_fr"]
+    assert sorted(trace["parent"]) == sorted(trace["change"]) == sorted(layers)
+    assert (trace["parent"][gone], trace["change"][gone]) == (1.0, 0.0)
 
 
 def test_each_uci_grid_call_keeps_its_fastest_pass(tmp_path):

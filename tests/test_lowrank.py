@@ -2,10 +2,12 @@
 
 import importlib.machinery
 import importlib.util
+import math
 import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -295,11 +297,11 @@ class TestDeflation:
         # Each step of a preconditioner run against the full-SVD truncation
         # of the same input; in factored form at mn 1024.
         gaps, ortho = [], []
-        real = lowrank_mod.rank_one_svd_combine
+        real = lowrank_mod._combine_in_place
 
-        def compared(factors, inc):
-            out = real(factors, inc)
-            ref = gesdd_combine(factors, inc)
+        def compared(bases, s, inc):  # the step overwrites bases: the oracle gets a copy
+            ref = gesdd_combine(LowRankFactors(bases[0].copy(), s, bases[1].copy()), inc)
+            out = real(bases, s, inc)
             if dim > 256:
                 gaps.append(factored_gap(out, ref) / np.linalg.norm(ref.s))
             else:
@@ -310,7 +312,7 @@ class TestDeflation:
                              np.linalg.norm(out.v.T @ out.v - eye)))
             return out
 
-        monkeypatch.setattr(precond_mod, "rank_one_svd_combine", compared)
+        monkeypatch.setattr(precond_mod, "_combine_in_place", compared)
         fallbacks = self.count_svd(monkeypatch)
         rng = np.random.default_rng(rank * dim)
         state = IntegratorState(dim, 1e-2, rank, IntegratorVariant.TRUNCATED_SVD, mu)
@@ -407,6 +409,53 @@ class TestDeflation:
         assert truncation_gap(np.random.default_rng(42), (9, 20), 4, 15, 0.9) <= 1e-11
 
 
+class TestInPlaceStep:
+    """The truncated-SVD state's step writes its new bases over its own
+    stacked ones; the public combine runs on a copy."""
+
+    @pytest.mark.parametrize("mu", [None, 0.9])
+    def test_step_overwrites_the_bases_and_allocates_less_than_one(self, mu):
+        rng = np.random.default_rng(50)
+        n, r = 4096, 8
+        state = IntegratorState(n, 1e-2, r, IntegratorVariant.TRUNCATED_SVD, mu)
+        for _ in range(3 * r):
+            update_integrator(state, apply_inverse(state, rng.standard_normal(n)))
+        gbar = apply_inverse(state, rng.standard_normal(n))
+        u, v, f = state.factors.u, state.factors.v, state.factors
+        norm_sq = float(gbar @ gbar)
+        beta = precond_mod.beta_of(precond_mod.alpha_of(norm_sq), norm_sq)
+        hist, weight = (1.0, 1.0) if mu is None else (mu, 1.0 - mu)
+        want = rank_one_svd_combine(  # on copies of the bases, before they are overwritten
+            LowRankFactors(u.copy(), hist * f.s, v.copy()),
+            RankOneIncrement(gbar, gbar - f.apply_transpose(gbar), beta * weight))
+        tracemalloc.start()
+        try:
+            update_integrator(state, gbar)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert state.factors.u is not u and np.shares_memory(state.factors.u, u)
+        assert np.shares_memory(state.factors.v, v)
+        assert peak < u.nbytes  # below one n x r array
+        for x in "usv":
+            assert getattr(state.factors, x).tobytes() == getattr(want, x).tobytes()
+
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    def test_combine_leaves_its_input_unchanged(self, lead):
+        rng = np.random.default_rng(51)
+        n, r = 9, 3
+        cells = [random_factors(rng, n, r) for _ in range(math.prod(lead))]
+        factors = LowRankFactors(*(np.reshape([getattr(f, x) for f in cells], lead + shape)
+                                   for x, shape in zip("usv", [(n, r), (r, r), (n, r)])))
+        inc = RankOneIncrement(rng.standard_normal(lead + (n,)), rng.standard_normal(lead + (n,)),
+                               rng.uniform(0.5, 2.0, lead))
+        arrays = (factors.u, factors.s, factors.v, inc.a, inc.b, inc.weight)
+        before = [x.tobytes() for x in arrays]
+        out = rank_one_svd_combine(factors, inc)
+        assert [x.tobytes() for x in arrays] == before
+        assert not any(np.shares_memory(getattr(out, x), y) for x in "usv" for y in arrays)
+
+
 class TestFactorsHousekeeping:
     def test_zero_factors_shape_and_invariants(self):
         f = zero_factors(7, 3)
@@ -438,8 +487,6 @@ class TestFactorsHousekeeping:
 
 def test_no_dense_allocation_in_updates():
     """Peak memory of one update stays far below n*n floats."""
-    import tracemalloc
-
     n, r = 4096, 4
     factors = zero_factors(n, r)
     rng = np.random.default_rng(14)

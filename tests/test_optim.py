@@ -243,11 +243,11 @@ class TestAdaGramStep:
         cells = [cfg(kind=kind, lr=0.1, rank=2, mu=mu) for mu in (1.0, 0.9, 1.0, 0.5)]
         stack, alone = make_optimizer(cells, (1, 4)), make_optimizer(cells[1], (1, 4))
         name = ("projector_splitting_step" if kind is OptimizerKind.ADAGRAM_PS
-                else "rank_one_svd_combine")
+                else "_combine_in_place")
         step = getattr(precond, name)
 
-        def spoil(factors, inc):
-            out = step(factors, inc)
+        def spoil(*args):
+            out = step(*args)
             out.s[1] = np.nan
             return out
         monkeypatch.setattr(precond, name, spoil)
@@ -300,6 +300,29 @@ def test_stack_steps_each_cell_as_alone(kind, shape, rank):
             assert params.weights[k].tobytes() == alone.weights.tobytes()
 
 
+@pytest.mark.parametrize("kind", sorted(INTEGRATOR_KINDS, key=lambda k: k.value))
+def test_stack_that_loses_cells_steps_each_cell_as_alone(kind):
+    # Bitwise: cell 1 holds factors and cell 2 (mu = 1) none; both leave
+    # after four steps, and the other cells step on as they do alone.
+    rng = np.random.default_rng(12)
+    cells = [cfg(kind=kind, lr=lr, eps=eps, rank=2, mu=mu)
+             for lr, eps, mu in ((0.3, 0.1, None), (0.1, 1.0, 0.9), (0.2, 0.01, 1.0),
+                                 (0.05, 0.5, 0.5))]
+    grads = rng.standard_normal((9, 4, 2, 3))
+    keep = np.array([True, False, False, True])
+    stack, params = make_optimizer(cells, (2, 3)), ParamState(np.zeros((4, 2, 3)))
+    for t, g in enumerate(grads):
+        if t == 4:
+            stack.select(keep)
+            params = ParamState(params.weights[keep])
+        params = stack.step(params, g[keep] if t >= 4 else g)
+    for weights, k in zip(params.weights, np.flatnonzero(keep)):
+        opt, alone = make_optimizer(cells[k], (2, 3)), ParamState.zeros(2, 3)
+        for g in grads:
+            alone = opt.step(alone, g[k])
+        assert weights.tobytes() == alone.weights.tobytes()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("case", ["finite", "nan_gradient", "overflow", "nan_core"])
 @pytest.mark.parametrize("kind", list(OptimizerKind))
@@ -319,9 +342,9 @@ def test_lone_step_is_its_slice_of_a_stack(kind, case, monkeypatch):
         grads[1] = 1e10
     spoilt = {}  # the slice of the core that a patched update spoils
     if case == "nan_core":
-        for name in ("projector_splitting_step", "rank_one_svd_combine"):
-            def spoil(factors, inc, step=getattr(precond, name)):
-                out = step(factors, inc)
+        for name in ("projector_splitting_step", "_combine_in_place"):
+            def spoil(*args, step=getattr(precond, name)):
+                out = step(*args)
                 out.s[spoilt["at"]] = np.nan
                 return out
             monkeypatch.setattr(precond, name, spoil)
