@@ -6,11 +6,13 @@ For each seed and tree a fresh Python process imports adagram from
 <tree>/src, writes the perfbench stand-in dataset and grid file for the
 seed into an output directory, and runs through cli.main, in that
 directory, the ten uci_grid grid calls and both wide runs at full epochs,
-then three single runs on the stand-in that the benchmark never makes: one
-that diverges (exit 3), an adagram_exact run over its budget (exit 2
-before its first step) and one without --out (its trace on stdout).  Each
-call's exit code and printed output, warnings without their source line
-included, are kept there as one more file.
+then calls on the stand-in that the benchmark never makes: the uci_grid
+grid at batch size 64 for the two kinds it leaves out (adagrad_full and
+adagram_exact), so that every optimizer kind trains, and three single
+runs, one that diverges (exit 3), an adagram_exact run over its budget
+(exit 2 before its first step) and one without --out (its trace on
+stdout).  Each call's exit code and printed output, warnings without
+their source line included, are kept there as one more file.
 Then every file of the two directories is compared, with what depends on
 the wall clock or the commit set aside: the wall_clock_s and
 time_to_best_s columns and the `# git:` line.  The script prints, per
@@ -69,15 +71,18 @@ for i, argv in enumerate(json.loads(argvs)):
 
 def workload_argvs(seed: int = SEED) -> list[list[str]]:
     """The cli.main argv of each call: uci_grid's grid calls, the wide runs,
-    then the single runs that diverge, overrun the exact budget and print."""
+    the grid calls of the kinds uci_grid leaves out, then the single runs
+    that diverge, overrun the exact budget and print."""
     grid = [inputs.grid_argv(kind, bs, f"{kind}_{bs}") for kind, bs in inputs.GRID_CALLS]
     wide = [inputs.wide_argv(w, seed, f"{w}.csv") for w in ("wide_ps", "wide_fr")]
+    others = [inputs.grid_argv(kind, 64, f"{kind}_64")
+              for kind in ("adagrad_full", "adagram_exact")]
     single = [inputs.single_argv("adagram_ps", "diverged.csv", 2) + ["--eps", "1e-310"],
               inputs.single_argv("adagram_exact", "over_budget.csv", 1000)
               + ["--batch-size", "1"],
               ["--dataset", inputs.STANDIN_FILE, "--optimizer", "adagram_fr", "--mu", "0.9",
                "--epochs", "3", "--seed", str(seed)]]
-    return grid + wide + single
+    return grid + wide + others + single
 
 
 def write_outputs(tree: str, argvs: list[list[str]], out: str, seed: int = SEED) -> None:

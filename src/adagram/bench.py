@@ -519,7 +519,8 @@ SUMMARY_COLUMNS = (
 
 
 def write_summary_tsv(result: GridResult, path: str) -> None:
-    best_hash = config_hash(result.best_config)
+    """One row per cell; a diverged best (every cell diverged) is not marked."""
+    best_hash = None if result.best_record.diverged else config_hash(result.best_config)
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\t".join(SUMMARY_COLUMNS) + "\n")
         for cfg, rec in result.entries:

@@ -134,6 +134,9 @@ def _run_grid(cfg: ExperimentConfig, grid_path: str, out: str | None,
         for entry_cfg, record in result.entries:
             record.save(os.path.join(out, f"{config_hash(entry_cfg)}.csv"))
         write_summary_tsv(result, os.path.join(out, "summary.tsv"))
+    if result.best_record.diverged:  # selection ranks diverged cells last
+        print(f"grid: all {len(result.entries)} cells diverged", file=sys.stderr)
+        return EXIT_DIVERGED
     best = result.best_config.optimizer
     print(
         f"best: {best.kind.value} lr={best.learning_rate} eps={best.eps}"

@@ -9,7 +9,6 @@ full-matrix AdaGrad, and Shampoo.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import math
 from dataclasses import dataclass
@@ -104,34 +103,6 @@ def unvec(w: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     return w.reshape(w.shape[:-1] + shape[::-1]).swapaxes(-1, -2)
 
 
-@dataclass
-class FullAdaGradState:
-    """Dense second-moment accumulator G = eps*I + sum g g^T."""
-
-    gram: np.ndarray
-
-    @classmethod
-    def init(cls, dim: int, eps) -> "FullAdaGradState":
-        if dim > FULL_MATRIX_CAP:
-            raise ValueError(
-                f"full-matrix AdaGrad capped at {FULL_MATRIX_CAP} parameters, got {dim}"
-            )
-        return cls(np.asarray(eps)[..., None, None] * np.eye(dim))
-
-
-@dataclass
-class ShampooState:
-    """Kronecker-factored accumulators L (m x m) and R (n x n)."""
-
-    left: np.ndarray
-    right: np.ndarray
-
-    @classmethod
-    def init(cls, m: int, n: int, eps) -> "ShampooState":
-        eps = np.asarray(eps)[..., None, None]
-        return cls(eps * np.eye(m), eps * np.eye(n))
-
-
 def _sym_inv_power(mat: np.ndarray, power: float) -> np.ndarray:
     """mat^power for symmetric PSD mat (or a stack) via eigendecomposition.
 
@@ -181,23 +152,24 @@ def adagrad_diag_step(params: ParamState, grad: np.ndarray, accum: np.ndarray,
     return _step(params, grad, rule)
 
 
-def adagrad_full_step(params: ParamState, grad: np.ndarray,
-                      state: FullAdaGradState, cfg: OptimizerConfig) -> ParamState:
-    """Accumulate G += g g^T, then step along G^{-1/2} g."""
+def adagrad_full_step(params: ParamState, grad: np.ndarray, gram: np.ndarray,
+                      cfg: OptimizerConfig) -> ParamState:
+    """Accumulate G += g g^T in gram, then step along G^{-1/2} g."""
     def rule(w, g):
         gv = vec(g)
-        state.gram += gv[..., :, None] * gv[..., None, :]
-        direction = (_sym_inv_power(state.gram, -0.5) @ gv[..., None])[..., 0]
+        gram[...] += gv[..., :, None] * gv[..., None, :]
+        direction = (_sym_inv_power(gram, -0.5) @ gv[..., None])[..., 0]
         return w - cfg.learning_rate * unvec(direction, w.shape[-2:]), False
     return _step(params, grad, rule)
 
 
-def shampoo_step(params: ParamState, grad: np.ndarray, state: ShampooState,
-                 cfg: OptimizerConfig) -> ParamState:
+def shampoo_step(params: ParamState, grad: np.ndarray, left: np.ndarray,
+                 right: np.ndarray, cfg: OptimizerConfig) -> ParamState:
+    """Accumulate L += g g^T and R += g^T g, then step along L^{-1/4} g R^{-1/4}."""
     def rule(w, g):
-        state.left += g @ g.swapaxes(-1, -2)
-        state.right += g.swapaxes(-1, -2) @ g
-        delta = _sym_inv_power(state.left, -0.25) @ g @ _sym_inv_power(state.right, -0.25)
+        left[...] += g @ g.swapaxes(-1, -2)
+        right[...] += g.swapaxes(-1, -2) @ g
+        delta = _sym_inv_power(left, -0.25) @ g @ _sym_inv_power(right, -0.25)
         return w - cfg.learning_rate * delta, False
     return _step(params, grad, rule)
 
@@ -236,14 +208,19 @@ def adagram_step(params: ParamState, grad: np.ndarray,
 
 
 def _init_state(kind: OptimizerKind, shape: tuple[int, int], eps, rank: int, mu):
-    """The state (sgd: None) for m x n weights: a cell's, or a stack's from K eps and mu."""
+    """The state for m x n weights: a cell's, or a stack's from K eps and mu.
+    A baseline's is the tuple of the arrays that its step updates in place."""
     dim, eps = shape[0] * shape[1], np.asarray(eps)
+    if kind is OptimizerKind.SGD:
+        return ()
     if kind is OptimizerKind.ADAGRAD_DIAG:
-        return eps[..., None, None] * np.ones(shape)
+        return (eps[..., None, None] * np.ones(shape),)
     if kind is OptimizerKind.ADAGRAD_FULL:
-        return FullAdaGradState.init(dim, eps)
+        if dim > FULL_MATRIX_CAP:
+            raise ValueError(f"full-matrix AdaGrad capped at {FULL_MATRIX_CAP} parameters, got {dim}")
+        return (eps[..., None, None] * np.eye(dim),)
     if kind is OptimizerKind.SHAMPOO:
-        return ShampooState.init(*shape, eps)
+        return tuple(eps[..., None, None] * np.eye(d) for d in shape)
     if kind is OptimizerKind.ADAGRAM_EXACT:
         return ExactPQState(dim, eps)
     if kind in INTEGRATOR_KINDS:
@@ -276,25 +253,15 @@ class Optimizer:
         self.state = _init_state(self.kind, shape, eps, cfgs[0].rank, mu)
 
     def step(self, params: ParamState, grad: np.ndarray) -> ParamState:
-        if self.kind is OptimizerKind.SGD:
-            return sgd_step(params, grad, self)
-        if self.kind is OptimizerKind.ADAGRAD_DIAG:
-            return adagrad_diag_step(params, grad, self.state, self)
-        if self.kind is OptimizerKind.ADAGRAD_FULL:
-            return adagrad_full_step(params, grad, self.state, self)
-        return shampoo_step(params, grad, self.state, self)
+        return globals()[f"{self.kind.value}_step"](params, grad, *self.state, self)
 
     def select(self, keep: np.ndarray) -> None:
         """Keep the cells of a stack where ``keep`` is true."""
         self.learning_rate = self.learning_rate[keep]
-        state = self.state
-        if isinstance(state, np.ndarray):
-            self.state = state[keep]
-        elif dataclasses.is_dataclass(state):
-            self.state = type(state)(*(getattr(state, f.name)[keep]
-                                       for f in dataclasses.fields(state)))
-        elif state is not None:
-            self.state = state.select(keep)
+        if isinstance(self.state, tuple):
+            self.state = tuple(a[keep] for a in self.state)
+        else:
+            self.state = self.state.select(keep)
 
 
 class AdaGram(Optimizer):

@@ -38,7 +38,6 @@ from adagram.data import (
     save_libsvm,
 )
 from adagram.optim import (
-    FullAdaGradState,
     OptimizerConfig,
     OptimizerKind,
     ParamState,
@@ -46,7 +45,6 @@ from adagram.optim import (
     adagrad_full_step,
     make_optimizer,
     shampoo_step,
-    ShampooState,
 )
 from adagram.precond import ExactPQState, alpha_of, apply_inverse, beta_of, update_exact
 
@@ -167,14 +165,14 @@ def test_criterion_5_glm_derivative_checks():
 
 def test_criterion_6_baseline_cross_checks():
     c = OptimizerConfig(OptimizerKind.SGD, learning_rate=1.0, eps=1.0)
-    sh_state = ShampooState.init(1, 1, 1.0)
-    fa_state = FullAdaGradState.init(1, 1.0)
+    sh_state = [1.0 * np.eye(1), 1.0 * np.eye(1)]
+    fa_state = 1.0 * np.eye(1)
     p_sh = ParamState.zeros(1, 1)
     p_fa = ParamState.zeros(1, 1)
     worst_scalar = 0.0
     for g in (2.0, -0.7, 1.3, 0.05):
         grad = np.array([[g]])
-        p_sh = shampoo_step(p_sh, grad, sh_state, c)
+        p_sh = shampoo_step(p_sh, grad, *sh_state, c)
         p_fa = adagrad_full_step(p_fa, grad, fa_state, c)
         worst_scalar = max(worst_scalar, abs(p_sh.weights[0, 0] - p_fa.weights[0, 0]))
 
@@ -184,7 +182,7 @@ def test_criterion_6_baseline_cross_checks():
     p_diag = ParamState.zeros(1, n)
     p_full = ParamState.zeros(1, n)
     accum = np.full((1, n), eps)
-    full = FullAdaGradState.init(n, eps)
+    full = eps * np.eye(n)
     worst_diag = 0.0
     for _ in range(15):
         grad = np.zeros((1, n))

@@ -729,6 +729,34 @@ class TestCli:
         ])
         assert code == 3
 
+    @pytest.mark.parametrize("lrs", ["0.1, 1.0", "0.1"])
+    def test_grid_whose_every_cell_diverges_exits_3(self, lrs, tmp_path, capsys):
+        # As a lone run of the same config does: every trace and the summary
+        # are written, no row is marked selected and no best is printed.
+        (tmp_path / "grid.cfg").write_text(f"lr = {lrs}\n")
+        out = tmp_path / "out"
+        code = cli_main(["--dataset", "synthetic:dense", "--optimizer", "adagram_ps",
+                         "--eps", "1e-310", "--epochs", "2", "--n-samples", "200",
+                         "--grid", str(tmp_path / "grid.cfg"), "--out", str(out)])
+        cells = len(lrs.split(","))
+        assert code == 3
+        assert capsys.readouterr() == ("", f"grid: all {cells} cells diverged\n")
+        rows = [line.split("\t") for line in (out / "summary.tsv").read_text().splitlines()]
+        assert len(rows) == 1 + cells and len(os.listdir(out)) == 1 + cells
+        assert [r[-2:] for r in rows[1:]] == [["true", ""]] * cells
+
+    def test_grid_with_one_finite_cell_selects_it(self, tmp_path, capsys):
+        (tmp_path / "grid.cfg").write_text("lr = 1e308, 0.1\n")
+        out = tmp_path / "out"
+        code = cli_main(["--dataset", "synthetic:isotropic", "--optimizer", "sgd",
+                         "--epochs", "3", "--n-samples", "120", "--n-features", "5",
+                         "--grid", str(tmp_path / "grid.cfg"), "--out", str(out)])
+        assert code == 0
+        printed = capsys.readouterr()
+        assert printed.out.startswith("best: sgd lr=0.1 ") and printed.err == ""
+        rows = [line.split("\t") for line in (out / "summary.tsv").read_text().splitlines()]
+        assert [r[-2:] for r in rows[1:]] == [["true", ""], ["false", "*"]]
+
     @pytest.mark.parametrize("kind", ["adagram_ps", "adagram_fr", "adagram_exact"])
     def test_preconditioner_overflow_is_divergence(self, kind, capsys):
         # eps = 1e-310 makes ||gbar||^2 overflow at the first step.

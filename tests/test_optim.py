@@ -10,12 +10,10 @@ from adagram.optim import (
     ADAGRAM_KINDS,
     INTEGRATOR_KINDS,
     AdaGram,
-    FullAdaGradState,
     Optimizer,
     OptimizerConfig,
     OptimizerKind,
     ParamState,
-    ShampooState,
     adagrad_diag_step,
     adagrad_full_step,
     adagram_step,
@@ -88,7 +86,7 @@ class TestAdaGradDiag:
         p_diag = ParamState.zeros(1, n)
         p_full = ParamState.zeros(1, n)
         accum = np.full((1, n), eps)
-        full = FullAdaGradState.init(n, eps)
+        full = eps * np.eye(n)
         for _ in range(steps):
             g = np.zeros((1, n))
             g[0, rng.integers(n)] = rng.standard_normal()
@@ -100,14 +98,14 @@ class TestAdaGradDiag:
 class TestAdaGradFull:
     def test_scalar_case(self):
         params = ParamState.zeros(1, 1)
-        state = FullAdaGradState.init(1, 1.0)
-        out = adagrad_full_step(params, np.array([[2.0]]), state, cfg())
-        assert state.gram[0, 0] == pytest.approx(5.0)
+        gram = 1.0 * np.eye(1)
+        out = adagrad_full_step(params, np.array([[2.0]]), gram, cfg())
+        assert gram[0, 0] == pytest.approx(5.0)
         assert out.weights[0, 0] == pytest.approx(-2 / math.sqrt(5), abs=1e-15)
 
     def test_zero_gradient(self):
-        state = FullAdaGradState.init(4, 1.0)
-        out = adagrad_full_step(ParamState.zeros(2, 2), np.zeros((2, 2)), state, cfg())
+        gram = 1.0 * np.eye(4)
+        out = adagrad_full_step(ParamState.zeros(2, 2), np.zeros((2, 2)), gram, cfg())
         np.testing.assert_array_equal(out.weights, np.zeros((2, 2)))
 
     def test_matches_eigensolve_oracle(self):
@@ -115,56 +113,56 @@ class TestAdaGradFull:
         eps = 0.3
         c = cfg(lr=1.0, eps=eps)
         params = ParamState.zeros(2, 2)
-        state = FullAdaGradState.init(4, eps)
+        gram = eps * np.eye(4)
         grads = []
         for _ in range(10):
             grad = rng.standard_normal((2, 2))
             grads.append(vec(grad))
             prev = vec(params.weights)
-            params = adagrad_full_step(params, grad, state, c)
+            params = adagrad_full_step(params, grad, gram, c)
             expected = prev - sym_inv_sqrt(dense_gram(eps, grads)) @ grads[-1]
             np.testing.assert_allclose(vec(params.weights), expected, atol=1e-10)
 
     def test_dimension_cap(self):
         with pytest.raises(ValueError, match="capped"):
-            FullAdaGradState.init(513, 1.0)
+            make_optimizer(OptimizerConfig("adagrad_full"), (1, 513))
 
     def test_gram_stays_symmetric_pd(self):
         rng = np.random.default_rng(3)
         eps = 1e-2
-        state = FullAdaGradState.init(6, eps)
+        gram = eps * np.eye(6)
         params = ParamState.zeros(1, 6)
         for _ in range(20):
             params = adagrad_full_step(
-                params, rng.standard_normal((1, 6)), state, cfg(eps=eps)
+                params, rng.standard_normal((1, 6)), gram, cfg(eps=eps)
             )
-        assert np.abs(state.gram - state.gram.T).max() <= 1e-12
-        assert np.linalg.eigvalsh(state.gram).min() >= eps - 1e-10
+        assert np.abs(gram - gram.T).max() <= 1e-12
+        assert np.linalg.eigvalsh(gram).min() >= eps - 1e-10
 
 
 class TestShampoo:
     def test_scalar_equals_full_adagrad(self):
         c = cfg(lr=1.0, eps=1.0)
-        sh_state = ShampooState.init(1, 1, 1.0)
-        fa_state = FullAdaGradState.init(1, 1.0)
+        sh_state = [1.0 * np.eye(1), 1.0 * np.eye(1)]
+        fa_state = 1.0 * np.eye(1)
         p_sh = ParamState.zeros(1, 1)
         p_fa = ParamState.zeros(1, 1)
         for g in [2.0, -0.7, 1.3]:
             grad = np.array([[g]])
-            p_sh = shampoo_step(p_sh, grad, sh_state, c)
+            p_sh = shampoo_step(p_sh, grad, *sh_state, c)
             p_fa = adagrad_full_step(p_fa, grad, fa_state, c)
             assert abs(p_sh.weights[0, 0] - p_fa.weights[0, 0]) <= 1e-12
 
     def test_zero_gradient(self):
-        state = ShampooState.init(2, 3, 1.0)
-        out = shampoo_step(ParamState.zeros(2, 3), np.zeros((2, 3)), state, cfg())
+        state = [1.0 * np.eye(2), 1.0 * np.eye(3)]
+        out = shampoo_step(ParamState.zeros(2, 3), np.zeros((2, 3)), *state, cfg())
         np.testing.assert_array_equal(out.weights, np.zeros((2, 3)))
 
     def test_matches_eigensolve_oracle(self):
         rng = np.random.default_rng(4)
         m, n, eps = 2, 3, 0.5
         c = cfg(lr=1.0, eps=eps)
-        state = ShampooState.init(m, n, eps)
+        state = [eps * np.eye(m), eps * np.eye(n)]
         params = ParamState.zeros(m, n)
         left = eps * np.eye(m)
         right = eps * np.eye(n)
@@ -176,7 +174,7 @@ class TestShampoo:
             lam_r, v_r = np.linalg.eigh(right)
             delta = ((v_l * lam_l**-0.25) @ v_l.T) @ grad @ ((v_r * lam_r**-0.25) @ v_r.T)
             prev = params.weights.copy()
-            params = shampoo_step(params, grad, state, c)
+            params = shampoo_step(params, grad, *state, c)
             np.testing.assert_allclose(params.weights, prev - delta, atol=1e-10)
 
 

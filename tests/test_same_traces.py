@@ -4,6 +4,8 @@ source trees write for the same cli.main calls."""
 import importlib.util
 import pathlib
 
+from adagram.optim import OptimizerKind
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("same_traces", ROOT / "scripts" / "same_traces.py")
 same_traces = importlib.util.module_from_spec(_spec)
@@ -67,3 +69,9 @@ def test_each_seed_is_one_pass(monkeypatch, capsys):
     assert same_traces.main([str(ROOT), str(ROOT), "--seed", "0", "3"]) == 0
     assert capsys.readouterr().out == ("seed 0: 3 files compared, 0 differ\n"
                                        "seed 3: 3 files compared, 0 differ\n")
+
+
+def test_every_optimizer_kind_trains():
+    # In the grid and wide calls, before the three single runs.
+    kinds = {argv[argv.index("--optimizer") + 1] for argv in same_traces.workload_argvs(0)[:-3]}
+    assert kinds == {k.value for k in OptimizerKind}
