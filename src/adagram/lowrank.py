@@ -2,8 +2,13 @@
 
 Two update schemes are provided: a first-order projector-splitting step
 (K-, core-, L-substeps) and a Brand-style truncated incremental SVD.  The
-latter writes the sum exactly on an (r+1) x (r+1) core and always leaves
-the same way: it drops the core's smallest singular triplet with one
+former orthogonalizes its two n x r panels by CholeskyQR2 with a
+Householder fallback; while its factors have rank below r < n (from zero
+factors, steps 0 .. r-1, which the preconditioner selects by its step
+count), it factors each panel through its (r+1) x r core in the basis
+augmented by the increment's residual direction instead.  The latter
+writes the sum exactly on an (r+1) x (r+1) core and always leaves the
+same way: it drops the core's smallest singular triplet with one
 Householder reflector per side.  The triplet comes from one LU of the
 core by repeated squaring of (M^T M)^{-1}, from a full SVD of the core
 where that does not succeed, or is the last coordinate on a side whose
@@ -13,7 +18,7 @@ general r x r matrix.
 
 A leading axis may stack K independent problems.  Stacked products are
 batched ``np.matmul`` calls, one BLAS call per slice, so a slice gets the
-same bits in a stack as alone; the r x r LAPACK calls, the rank-1 basis
+same bits in a stack as alone; the small LAPACK calls, the rank-1 basis
 updates and the Householder fallback of the QR run slice by slice.
 """
 
@@ -44,8 +49,9 @@ def _scipy_linalg_module(name: str):
 
 
 _flapack = _scipy_linalg_module("_flapack")
-_dgetrf, _dgetri, _dpotrf, _dtrtri = (_flapack.dgetrf, _flapack.dgetri, _flapack.dpotrf,
-                                      _flapack.dtrtri)
+_dgeqrf, _dgetrf, _dgetri, _dorgqr, _dpotrf, _dtrtri = (
+    _flapack.dgeqrf, _flapack.dgetrf, _flapack.dgetri, _flapack.dorgqr, _flapack.dpotrf,
+    _flapack.dtrtri)
 _dger = _scipy_linalg_module("_fblas").dger
 
 # Residual directions smaller than this (relative to the update vector) are
@@ -177,13 +183,21 @@ def _each(lapack, mats: np.ndarray, *flags) -> tuple[np.ndarray, list]:
     """LAPACK in place on each matrix of a copy of a small matrix or stack
     (directly: numpy's wrapper costs more than the r x r work), ``flags``
     ending in the overwrite flag: the results, Fortran-ordered so a slice's
-    products make the same BLAS calls stacked as alone, and failed indices."""
-    out, failed = _t(_t(mats).copy()), []
-    for k, mat in enumerate(out.reshape((-1,) + out.shape[-2:])):
+    products make the same BLAS calls stacked as alone, and failed indices.
+    One matrix, alone or a stack of one, takes the call without the loop."""
+    out = _t(_t(mats).copy())
+    if out.ndim == 2 or len(out) == 1:
+        mat = out.reshape(out.shape[-2:])
         res, info = lapack(mat, *flags)
         if res is not mat:  # not done in place
             mat[...] = res
-        failed += [(k,)[:out.ndim - 2]] if info else []
+        return out, [(0,)[:out.ndim - 2]] if info else []
+    failed = []
+    for k, mat in enumerate(out):
+        res, info = lapack(mat, *flags)
+        if res is not mat:
+            mat[...] = res
+        failed += [(k,)] if info else []
     return out, failed
 
 
@@ -241,23 +255,75 @@ def projector_splitting_step(factors: LowRankFactors,
     from v0 (generic increments).
     """
     _check_increment(factors, inc)
+    return _splitting_step(factors, inc, _factor_panel)
+
+
+def _warm_splitting_step(factors: LowRankFactors, inc: RankOneIncrement) -> LowRankFactors:
+    """:func:`projector_splitting_step` for factors of rank below r < n, as
+    from zero factors before step r.  Its panels have rank below r, so
+    CholeskyQR2 would fail on them; each is factored through its
+    (r+1) x r core instead (:func:`_factor_augmented`)."""
+    return _splitting_step(factors, inc, _factor_augmented)
+
+
+def _splitting_step(factors, inc, factor):
+    """The substeps, with ``factor(basis, core, vec, row)`` giving q, r of
+    the panel basis @ core + outer(vec, row), diag(r) >= 0."""
     u0, s0, v0 = factors.u, factors.s, factors.v
     a, b, weight = inc.a, inc.b, np.asarray(inc.weight)[..., None]  # one per slice
 
     bv = weight * (b[..., None, :] @ v0)[..., 0, :]     # row of dA @ v0
-    k1 = u0 @ s0
-    k1 += a[..., :, None] * bv[..., None, :]
-    u1, s1_hat = orthogonal_factorization(k1)
+    u1, s1_hat = factor(u0, s0, a, bv)
 
     ua = (a[..., None, :] @ u1)[..., 0, :]              # u1.T @ a
     s0_hat = s1_hat - ua[..., :, None] * bv[..., None, :]
 
     au = weight * ua                                    # row of u1.T @ dA
-    l1 = v0 @ _t(s0_hat)
-    l1 += b[..., :, None] * au[..., None, :]
-    v1, s1_t = orthogonal_factorization(l1)
+    v1, s1_t = factor(v0, _t(s0_hat), b, au)
 
     return LowRankFactors(u1, _t(s1_t), v1)
+
+
+def _factor_panel(basis, core, vec, row):
+    """:func:`orthogonal_factorization` of the panel, formed."""
+    panel = basis @ core
+    panel += vec[..., :, None] * row[..., None, :]
+    return orthogonal_factorization(panel)
+
+
+def _factor_augmented(basis, core, vec, row):
+    """The panel's q, r through its structure.  With vec = basis c + rho w
+    (w the unit residual direction, :func:`_split_against_basis`), the
+    panel is [basis | w] C for the (r+1) x r core C = [core + c row^T;
+    rho row^T], so with C = Q R it is q = basis Q[:r] + w Q[r] and r = R:
+    a Householder QR of C, one n x r x r product and a rank-1 update.
+    Where rho = 0, C's last row is zero and so is Q's (each reflector
+    leaves it alone), so w, then not a unit vector, drops out."""
+    n, r = basis.shape[-2:]
+    side, resid = _split_against_basis(basis.reshape(-1, n, r), vec.reshape(-1, n).copy())
+    c = side.reshape(vec.shape[:-1] + (r + 1, 1)) * row[..., None, :]
+    c[..., :r, :] += core
+    q, rr = _householder(c)
+    out = basis @ q[..., :r, :]
+    for ok, wk, qk in zip(_t(out).reshape(-1, r, n), resid, q[..., r, :].reshape(-1, r)):
+        _dger(1.0, qk, wk, a=ok, overwrite_a=True)  # in place
+    return out, rr
+
+
+def _householder(mats: np.ndarray):
+    """Q and R of each tall matrix of a stack, diag(R) >= 0, by LAPACK's
+    Householder QR (dgeqrf, then dorgqr) per matrix, Fortran-ordered as
+    :func:`_each`'s results are."""
+    r = mats.shape[-1]
+    q, rr = _t(_t(mats).copy()), np.zeros(mats.shape[:-2] + (r, r))
+    for qk, rk in zip(q.reshape((-1,) + q.shape[-2:]), rr.reshape(-1, r, r)):
+        qr, tau, _, _ = _dgeqrf(qk, overwrite_a=True)
+        rk[...] = np.triu(qr[:r])
+        qk[...] = _dorgqr(qr, tau, overwrite_a=True)[0]
+    sign = np.where(rr.diagonal(0, -2, -1) < 0.0, -1.0, 1.0)
+    q *= sign[..., None, :]
+    rr *= sign[..., :, None]
+    return q, rr
 
 
 def rank_one_svd_combine(factors: LowRankFactors,

@@ -66,9 +66,9 @@ class OptimizerConfig:
     def __post_init__(self) -> None:
         self.kind = OptimizerKind(self.kind)
         if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0.0):
-            raise ValueError(f"learning rate must be >= 0, got {self.learning_rate}")
+            raise ValueError(f"learning rate must be finite and >= 0, got {self.learning_rate}")
         if not (math.isfinite(self.eps) and self.eps > 0.0):
-            raise ValueError(f"eps must be > 0, got {self.eps}")
+            raise ValueError(f"eps must be finite and > 0, got {self.eps}")
         if self.rank < 1:
             raise ValueError(f"rank must be >= 1, got {self.rank}")
         if self.mu is not None and not 0.0 <= self.mu <= 1.0:

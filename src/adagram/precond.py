@@ -29,6 +29,7 @@ from .lowrank import (
     LowRankFactors,
     RankOneIncrement,
     _combine_in_place,
+    _warm_splitting_step,
     projector_splitting_step,
     zero_factors,
 )
@@ -240,7 +241,11 @@ def update_integrator(state: IntegratorState, gbar: np.ndarray,
     increment, s = RankOneIncrement.trusted(gbar, b, beta * inc), hist[..., None, None] * factors.s
     if state.variant is IntegratorVariant.PROJECTOR_SPLITTING:
         factors = LowRankFactors(factors.u, s, factors.v)
-        state.factors = projector_splitting_step(factors, increment)
+        # Before step r, factors from zero have rank below r (every cell of
+        # a stack shares t); where r = dim no residual direction exists.
+        warm = state.t < state.rank < state.dim
+        step = _warm_splitting_step if warm else projector_splitting_step
+        state.factors = step(factors, increment)
     else:  # on the held bases, in place
         state.factors = _combine_in_place(state._bases, s, increment)
     state.t += 1

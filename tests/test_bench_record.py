@@ -138,3 +138,46 @@ def test_each_uci_grid_call_keeps_its_fastest_pass(tmp_path):
     result = {"pass_call_s": calls_of(1.0)(1)}  # run_s sums these minima
     fastest = bench_record.fastest_calls(result)
     assert sum(fastest) == pytest.approx(sum(i + 1.01 for i in range(10)))
+
+
+_spec10 = importlib.util.spec_from_file_location("criterion10_record",
+                                                 ROOT / "scripts" / "criterion10_record.py")
+criterion10_record = importlib.util.module_from_spec(_spec10)
+_spec10.loader.exec_module(criterion10_record)
+
+PASS_OUT = ("ACCEPTANCE 10 PASS  per-step cost linear in mn; no dense mn x mn allocation"
+            "  [ratios 1.72, 1.75; peak 120 KiB]\n.\n1 passed in 9.81s\n")
+FAIL_OUT = ("ACCEPTANCE 10 FAIL  per-step cost linear in mn; no dense mn x mn allocation"
+            "  [ratios 1.08, 1.86; peak 120 KiB]\nF\nAssertionError\n1 failed in 9.90s\n")
+
+
+class TestCriterion10Record:
+    def test_parse_canned_lines(self):
+        assert criterion10_record.parse(PASS_OUT) == {"passed": True, "ratios": [1.72, 1.75]}
+        assert criterion10_record.parse(FAIL_OUT) == {"passed": False, "ratios": [1.08, 1.86]}
+        crashed = "ImportError while loading conftest\n1 error in 0.20s\n"
+        assert criterion10_record.parse(crashed) == {"passed": False, "ratios": None}
+        # Only criterion 10's line counts.
+        other = "ACCEPTANCE  9 PASS  something  [ratios 1.90, 1.80]\n"
+        assert criterion10_record.parse(other)["ratios"] is None
+
+    def test_alternating_runs_and_pass_rates(self, tmp_path):
+        out = tmp_path / "BENCH.json"
+        out.write_text(json.dumps({"workloads": {"wide_ps": {}}}))
+        calls = []
+
+        def runner(tree):  # the change fails its second run
+            calls.append(tree)
+            return FAIL_OUT if tree.endswith("change") and calls.count(tree) == 2 else PASS_OUT
+        argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+                "--runs", "4", "--out", str(out)]
+        assert criterion10_record.main(argv, runner) == 0
+        sides = [pathlib.Path(t).name for t in calls]
+        assert sides == ["parent", "change", "change", "parent"] * 2
+        record = json.loads(out.read_text())
+        assert record["workloads"] == {"wide_ps": {}}  # the rest of the record is kept
+        c10 = record["criterion_10"]
+        assert [r["first"] for r in c10["runs"]] == ["parent", "change"] * 2
+        assert c10["runs"][1]["change"] == {"passed": False, "ratios": [1.08, 1.86]}
+        assert (c10["parent"]["passes"], c10["parent"]["pass_rate"]) == (4, 1.0)
+        assert (c10["change"]["passes"], c10["change"]["pass_rate"]) == (3, 0.75)

@@ -135,6 +135,18 @@ def test_out_of_range_setting_is_config_error(tmp_path, capsys, text, flags, mes
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("flag, message", [
+    ("--lr", "learning rate must be finite and >= 0, got "),
+    ("--eps", "eps must be finite and > 0, got "),
+])
+def test_non_finite_or_negative_step_setting_is_config_error(capsys, flag, message, value):
+    code = cli_main(["--dataset", "synthetic:dense", "--optimizer", "sgd", *SMALL_RUN,
+                     f"{flag}={value}"])
+    assert code == 2
+    assert f"error: {message}{float(value)}\n" in capsys.readouterr().err
+
+
 def test_missing_config_file_is_config_error(tmp_path, capsys):
     path = tmp_path / "absent.cfg"
     assert cli_main(["--config", str(path)]) == 2

@@ -104,6 +104,42 @@ class TestOrthogonalFactorization:
             orthogonal_factorization(np.zeros((2, 4)))
 
 
+class TestEachMatrix:
+    @pytest.mark.parametrize("routine, flags", [("_dpotrf", (1, 1, 1)), ("_dtrtri", (1, 0, 1))])
+    def test_a_matrix_alone_as_in_a_stack(self, routine, flags):
+        # Equal bits, and the same failure reported for the bad matrix (not
+        # positive definite; singular triangular), alone, as a stack of one
+        # and as slice 1 of a stack of 3.
+        rng = np.random.default_rng(40)
+        m = rng.standard_normal((30, 6))
+        good = m.T @ m if routine == "_dpotrf" else np.linalg.cholesky(m.T @ m)
+        bad = good.copy()
+        bad[3, 3] = -1.0 if routine == "_dpotrf" else 0.0
+        lapack = getattr(lowrank_mod, routine)
+        for mat, failed in ((good, ([], [], [])), (bad, ([()], [(0,)], [(1,)]))):
+            alone = lowrank_mod._each(lapack, mat, *flags)
+            one = lowrank_mod._each(lapack, mat[None], *flags)
+            three = lowrank_mod._each(lapack, np.stack([2.0 * good, mat, good]), *flags)
+            assert (alone[1], one[1], three[1]) == failed
+            assert alone[0].tobytes() == one[0][0].tobytes() == three[0][1].tobytes()
+            assert alone[0].flags.f_contiguous and one[0][0].flags.f_contiguous
+
+
+class TestHouseholder:
+    def test_zero_last_row_stays_zero(self):
+        # A core whose last row is zero (rho = 0) and whose top block has
+        # rank 2 < r: Q's last row is exactly zero, Q orthonormal, QR = C.
+        rng = np.random.default_rng(41)
+        c = np.zeros((6, 5))
+        c[:5] = rng.standard_normal((5, 2)) @ rng.standard_normal((2, 5))
+        q, r = lowrank_mod._householder(np.stack([c, np.zeros((6, 5))]))
+        assert not q[:, 5].any()
+        assert np.array_equal(q[1], np.eye(6, 5)) and not r[1].any()
+        assert_orthonormal(q[0], tol=1e-14)
+        assert np.abs(q[0] @ r[0] - c).max() <= 1e-14 * np.abs(c).max()
+        assert (np.diagonal(r, 0, 1, 2) >= 0.0).all() and np.array_equal(np.triu(r), r)
+
+
 class TestProjectorSplittingStep:
     def test_hand_traced_rank_one(self):
         # U0=e1, S0=[1], V0=e1 in R^3; increment c*e1*e1^T.
@@ -504,7 +540,7 @@ def test_no_dense_allocation_in_updates():
 _SAME_ROUTINES = """
 from adagram import lowrank
 from scipy.linalg import blas, lapack
-for name in ("dpotrf", "dtrtri", "dgetrf", "dgetri"):
+for name in ("dgeqrf", "dorgqr", "dpotrf", "dtrtri", "dgetrf", "dgetri"):
     assert getattr(lowrank, "_" + name) is getattr(lapack, name), name
 assert lowrank._dger is blas.dger
 """

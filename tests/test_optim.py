@@ -240,7 +240,7 @@ class TestAdaGramStep:
         # Cells 1 and 3 hold factors; the second of them gets a NaN core.
         cells = [cfg(kind=kind, lr=0.1, rank=2, mu=mu) for mu in (1.0, 0.9, 1.0, 0.5)]
         stack, alone = make_optimizer(cells, (1, 4)), make_optimizer(cells[1], (1, 4))
-        name = ("projector_splitting_step" if kind is OptimizerKind.ADAGRAM_PS
+        name = ("_warm_splitting_step" if kind is OptimizerKind.ADAGRAM_PS  # step 1 < rank
                 else "_combine_in_place")
         step = getattr(precond, name)
 
@@ -257,14 +257,14 @@ class TestAdaGramStep:
 
     @staticmethod
     def spoil_core(monkeypatch, where):
-        """Make the PS step's core NaN at ``where``."""
-        step = precond.projector_splitting_step
+        """Make the PS step's core NaN at ``where`` (at step 1 < rank: the warm-up kernel)."""
+        step = precond._warm_splitting_step
 
         def spoil(factors, inc):
             out = step(factors, inc)
             out.s[where] = np.nan
             return out
-        monkeypatch.setattr(precond, "projector_splitting_step", spoil)
+        monkeypatch.setattr(precond, "_warm_splitting_step", spoil)
 
     def test_non_finite_core_spoils_only_its_slice(self, monkeypatch):
         cells = [cfg(kind=OptimizerKind.ADAGRAM_PS, lr=lr, rank=2) for lr in (0.3, 0.2, 0.1)]
@@ -340,7 +340,7 @@ def test_lone_step_is_its_slice_of_a_stack(kind, case, monkeypatch):
         grads[1] = 1e10
     spoilt = {}  # the slice of the core that a patched update spoils
     if case == "nan_core":
-        for name in ("projector_splitting_step", "_combine_in_place"):
+        for name in ("_warm_splitting_step", "_combine_in_place"):  # at step 1 < rank
             def spoil(*args, step=getattr(precond, name)):
                 out = step(*args)
                 out.s[spoilt["at"]] = np.nan

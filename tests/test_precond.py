@@ -5,6 +5,9 @@ import math
 import numpy as np
 import pytest
 
+import adagram.lowrank as lowrank
+import adagram.precond as precond
+from adagram.lowrank import LowRankFactors, RankOneIncrement
 from adagram.precond import (
     ExactPQState,
     IntegratorState,
@@ -19,7 +22,14 @@ from adagram.precond import (
     update_integrator,
 )
 
-from helpers import best_rank_r, dense_gram, materialize, materialize_inverse
+from helpers import (
+    best_rank_r,
+    dense_gram,
+    factored_gap,
+    materialize,
+    materialize_inverse,
+    random_orthonormal,
+)
 
 SQ2 = math.sqrt(2.0)
 
@@ -303,3 +313,128 @@ class TestUpdateIntegrator:
             IntegratorState(4, eps=1.0, rank=1, mu=1.5)
         with pytest.raises(ValueError):
             ExactPQState(0, eps=1.0)
+
+
+def max_drift(factors):
+    """Largest entry of U^T U - I and V^T V - I, over a stack's slices too."""
+    eye = np.eye(factors.rank)
+    return max(np.abs(b.swapaxes(-1, -2) @ b - eye).max() for b in (factors.u, factors.v))
+
+
+class TestWarmUp:
+    """Steps 0 .. r-1 of the projector-splitting state, from zero factors,
+    factor each panel through its (r+1) x r core."""
+
+    @staticmethod
+    def count(monkeypatch, owner, name):
+        calls, real = [], getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, **k: calls.append(1) or real(*a, **k))
+        return calls
+
+    @pytest.mark.parametrize("eps, mu, n, r", [
+        (1e-2, None, 1024, 48), ([1e-2, 0.1, 1.0, 1e-3], [None, 0.9, None, 0.5], 64, 5)])
+    def test_no_tall_qr_before_step_r(self, monkeypatch, eps, mu, n, r):
+        rng = np.random.default_rng(30)
+        state = IntegratorState(n, eps=eps, rank=r, mu=mu)
+        qr = self.count(monkeypatch, np.linalg, "qr")
+        cholesky_qr2 = self.count(monkeypatch, lowrank, "_cholesky_qr2")
+        shape = np.shape(eps) + (n,)
+        for _ in range(r):
+            update_integrator(state, apply_inverse(state, rng.standard_normal(shape)))
+        assert (len(qr), len(cholesky_qr2)) == (0, 0)
+        update_integrator(state, apply_inverse(state, rng.standard_normal(shape)))
+        assert len(cholesky_qr2) == 2  # step r: the K and L panels, formed
+
+    @pytest.mark.parametrize("n", [64, 1024])
+    @pytest.mark.parametrize("r", [5, 48])
+    def test_matches_the_formed_panels(self, monkeypatch, r, n):
+        # Over 3r steps: u s v^T within 1e-12 relative of the state that
+        # factors every panel formed, and orthonormal bases at each step.
+        rng = np.random.default_rng(31)
+        warm, formed = (IntegratorState(n, eps=1e-2, rank=r) for _ in range(2))
+        for _ in range(3 * r):
+            g = rng.standard_normal(n)
+            update_integrator(warm, apply_inverse(warm, g))
+            with monkeypatch.context() as m:
+                m.setattr(precond, "_warm_splitting_step", lowrank.projector_splitting_step)
+                update_integrator(formed, apply_inverse(formed, g))
+            scale = np.linalg.norm(formed.factors.s)
+            assert factored_gap(warm.factors, formed.factors) <= 1e-12 * scale
+            assert max_drift(warm.factors) <= 1e-13
+
+    @pytest.mark.parametrize("in_span", ["a", "b", "both"])
+    def test_increment_inside_a_basis_span(self, in_span):
+        # rho = 0 on that side: the core's last row is zero, and the
+        # residual direction, not a unit vector, must not enter the basis.
+        rng = np.random.default_rng(32)
+        n, r = 12, 4
+        s = rng.standard_normal((r, r))
+        s[2:] = 0.0  # rank 2 < r, as at step 2 from zero factors
+        factors = LowRankFactors(random_orthonormal(rng, n, r), s, random_orthonormal(rng, n, r))
+        a, b = rng.standard_normal(n), rng.standard_normal(n)
+        if in_span in ("a", "both"):
+            a = factors.u @ rng.standard_normal(r)
+        if in_span in ("b", "both"):
+            b = factors.v @ rng.standard_normal(r)
+        inc = RankOneIncrement(a, b, 0.7)
+        out = lowrank._warm_splitting_step(factors, inc)
+        target = materialize(factors) + 0.7 * np.outer(a, b)
+        assert np.linalg.norm(materialize(out) - target) <= 1e-12 * np.linalg.norm(target)
+        assert max_drift(out) <= 1e-13
+        ref = lowrank.projector_splitting_step(factors, inc)
+        assert factored_gap(out, ref) <= 1e-12 * np.linalg.norm(ref.s)
+
+    def test_zero_gradient(self):
+        # At step 0 the K core is zero, so the bases stay the identity
+        # columns; at step 2 the matrix stays as it was.
+        rng = np.random.default_rng(33)
+        state = IntegratorState(10, eps=0.5, rank=4)
+        update_integrator(state, np.zeros(10))
+        assert np.array_equal(state.factors.u, np.eye(10, 4))
+        assert not state.factors.s.any() and max_drift(state.factors) == 0.0
+        update_integrator(state, apply_inverse(state, rng.standard_normal(10)))
+        before = materialize(state.factors)
+        update_integrator(state, np.zeros(10))
+        assert state.t == 3 and max_drift(state.factors) <= 1e-13
+        assert np.linalg.norm(materialize(state.factors) - before) <= 1e-14
+
+    def test_rank_clamped_to_dim_takes_the_formed_panels(self, monkeypatch):
+        warm = self.count(monkeypatch, precond, "_warm_splitting_step")
+        state = IntegratorState(5, eps=1.0, rank=5)
+        for g in np.random.default_rng(34).standard_normal((3, 5)):
+            update_integrator(state, apply_inverse(state, g))
+        assert not warm and max_drift(state.factors) <= 1e-13
+
+    def test_stack_with_mu_one_cells_and_a_cell_that_leaves(self, monkeypatch):
+        # Bitwise, over steps across r = 3: slice 1 (cell 2) turns NaN at
+        # step 1 and leaves the stack at step 2; the mu = 1 cells hold no
+        # factors; the other cells step as they do alone.
+        rng = np.random.default_rng(35)
+        eps, mu = [0.5, 2.0, 1.0, 0.1, 0.3], [0.9, 1.0, None, 1.0, 0.5]
+        state = IntegratorState(8, eps=eps, rank=3, mu=mu)
+        alone = [IntegratorState(8, eps=e, rank=3, mu=m) for e, m in zip(eps, mu)]
+        step = lowrank._warm_splitting_step
+
+        def spoil(factors, inc):
+            out = step(factors, inc)
+            if out.s.ndim == 3 and state.t == 1:  # the stack's step 1
+                out.s[1] = np.nan
+            return out
+        monkeypatch.setattr(precond, "_warm_splitting_step", spoil)
+        for t in range(7):
+            if t == 2:
+                assert np.isnan(state.factors.s[1]).all() and np.isfinite(state.factors.s[[0, 2]]).all()
+                keep = np.array([True, True, False, True, True])
+                state.select(keep)
+                alone = [c for c, k in zip(alone, keep) if k]
+            g = rng.standard_normal((len(alone), 8))
+            gbar = apply_inverse(state, g)
+            update_integrator(state, gbar)
+            for cell, gk in zip(alone, gbar):
+                update_integrator(cell, gk)
+        held = [c for c in alone if c.live is None]
+        assert len(held) == 2
+        for k, cell in enumerate(held):
+            for x, y in zip((state.factors.u, state.factors.s, state.factors.v),
+                            (cell.factors.u, cell.factors.s, cell.factors.v)):
+                assert x[k].tobytes() == y.tobytes()
