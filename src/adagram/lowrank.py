@@ -145,7 +145,8 @@ def zero_factors(dim: int, rank: int, lead: tuple = ()) -> LowRankFactors:
     return LowRankFactors(u, np.zeros(lead + (rank, rank)), u.copy())
 
 
-def orthogonal_factorization(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def orthogonal_factorization(m: np.ndarray, *,
+                             householder: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Factor m = q @ r with orthonormal columns in q and diag(r) >= 0.
 
     Fast path is CholeskyQR2: two rounds of Gram matrix, Cholesky, and
@@ -155,10 +156,14 @@ def orthogonal_factorization(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     panels fall back to Householder QR, whose reflectors complete the basis
     deterministically (a zero matrix yields identity columns).  Callers
     never see an error.  A stack of panels is factored slice by slice.
+    ``householder=True`` skips CholeskyQR2, for a small matrix or one of
+    known low rank: LAPACK's dgeqrf and dorgqr on each slice.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim not in (2, 3) or m.shape[-2] < m.shape[-1]:
         raise ValueError(f"expected tall n x r matrices, got shape {m.shape}")
+    if householder:
+        return _householder(m)
     q, r, failed = _cholesky_qr2(m)
     if q is None:  # every panel falls back; r is laid out as CholeskyQR2's is, so
         # later products make the same BLAS calls whichever panels fell back
@@ -296,14 +301,15 @@ def _factor_augmented(basis, core, vec, row):
     (w the unit residual direction, :func:`_split_against_basis`), the
     panel is [basis | w] C for the (r+1) x r core C = [core + c row^T;
     rho row^T], so with C = Q R it is q = basis Q[:r] + w Q[r] and r = R:
-    a Householder QR of C, one n x r x r product and a rank-1 update.
+    a Householder QR of C (:func:`orthogonal_factorization`, CholeskyQR2
+    skipped), one n x r x r product and a rank-1 update.
     Where rho = 0, C's last row is zero and so is Q's (each reflector
     leaves it alone), so w, then not a unit vector, drops out."""
     n, r = basis.shape[-2:]
     side, resid = _split_against_basis(basis.reshape(-1, n, r), vec.reshape(-1, n).copy())
     c = side.reshape(vec.shape[:-1] + (r + 1, 1)) * row[..., None, :]
     c[..., :r, :] += core
-    q, rr = _householder(c)
+    q, rr = orthogonal_factorization(c, householder=True)
     out = basis @ q[..., :r, :]
     for ok, wk, qk in zip(_t(out).reshape(-1, r, n), resid, q[..., r, :].reshape(-1, r)):
         _dger(1.0, qk, wk, a=ok, overwrite_a=True)  # in place

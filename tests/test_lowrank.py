@@ -139,6 +139,34 @@ class TestHouseholder:
         assert np.abs(q[0] @ r[0] - c).max() <= 1e-14 * np.abs(c).max()
         assert (np.diagonal(r, 0, 1, 2) >= 0.0).all() and np.array_equal(np.triu(r), r)
 
+    def test_public_entry_skips_cholesky_qr2(self, monkeypatch):
+        # householder=True gives _householder's bits, rank-deficient or not,
+        # with no CholeskyQR2 attempt and no np.linalg.qr.
+        rng = np.random.default_rng(42)
+        low = rng.standard_normal((7, 2)) @ rng.standard_normal((2, 4))
+        mats = np.stack([low, rng.standard_normal((7, 4))])
+        for name, owner in (("_cholesky_qr2", lowrank_mod), ("qr", np.linalg)):
+            monkeypatch.setattr(owner, name, lambda *a: pytest.fail(f"{name} called"))
+        for m in (mats, mats[1]):
+            q, r = orthogonal_factorization(m, householder=True)
+            ref_q, ref_r = lowrank_mod._householder(m)
+            assert q.tobytes() == ref_q.tobytes() and r.tobytes() == ref_r.tobytes()
+
+    def test_warm_step_factors_both_cores_by_the_public_entry(self, monkeypatch):
+        # The warm-up kernel's two QRs go through orthogonal_factorization,
+        # so a wrapper of the public function sees two calls per step.
+        calls, real = [], lowrank_mod.orthogonal_factorization
+        monkeypatch.setattr(lowrank_mod, "orthogonal_factorization",
+                            lambda m, **k: calls.append((m.shape, k)) or real(m, **k))
+        rng = np.random.default_rng(43)
+        n, r = 9, 3
+        s = np.zeros((r, r))
+        s[0, 0] = 1.5  # rank 1 < r
+        factors = LowRankFactors(np.eye(n, r), s, np.eye(n, r))
+        lowrank_mod._warm_splitting_step(
+            factors, RankOneIncrement(rng.standard_normal(n), rng.standard_normal(n), 0.4))
+        assert calls == [((r + 1, r), {"householder": True})] * 2
+
 
 class TestProjectorSplittingStep:
     def test_hand_traced_rank_one(self):
