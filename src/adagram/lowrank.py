@@ -18,7 +18,7 @@ general r x r matrix.
 
 A leading axis may stack K independent problems.  Stacked products are
 batched ``np.matmul`` calls, one BLAS call per slice, so a slice gets the
-same bits in a stack as alone; the small LAPACK calls, the rank-1 basis
+same bits in a stack as alone; the r x r LAPACK calls, the rank-1 basis
 updates and the Householder fallback of the QR run slice by slice.
 """
 
@@ -49,9 +49,8 @@ def _scipy_linalg_module(name: str):
 
 
 _flapack = _scipy_linalg_module("_flapack")
-_dgeqrf, _dgetrf, _dgetri, _dorgqr, _dpotrf, _dtrtri = (
-    _flapack.dgeqrf, _flapack.dgetrf, _flapack.dgetri, _flapack.dorgqr, _flapack.dpotrf,
-    _flapack.dtrtri)
+_dgetrf, _dgetri, _dpotrf, _dtrtri = (_flapack.dgetrf, _flapack.dgetri, _flapack.dpotrf,
+                                      _flapack.dtrtri)
 _dger = _scipy_linalg_module("_fblas").dger
 
 # Residual directions smaller than this (relative to the update vector) are
@@ -145,8 +144,7 @@ def zero_factors(dim: int, rank: int, lead: tuple = ()) -> LowRankFactors:
     return LowRankFactors(u, np.zeros(lead + (rank, rank)), u.copy())
 
 
-def orthogonal_factorization(m: np.ndarray, *,
-                             householder: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def orthogonal_factorization(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Factor m = q @ r with orthonormal columns in q and diag(r) >= 0.
 
     Fast path is CholeskyQR2: two rounds of Gram matrix, Cholesky, and
@@ -156,14 +154,10 @@ def orthogonal_factorization(m: np.ndarray, *,
     panels fall back to Householder QR, whose reflectors complete the basis
     deterministically (a zero matrix yields identity columns).  Callers
     never see an error.  A stack of panels is factored slice by slice.
-    ``householder=True`` skips CholeskyQR2, for a small matrix or one of
-    known low rank: LAPACK's dgeqrf and dorgqr on each slice.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim not in (2, 3) or m.shape[-2] < m.shape[-1]:
         raise ValueError(f"expected tall n x r matrices, got shape {m.shape}")
-    if householder:
-        return _householder(m)
     q, r, failed = _cholesky_qr2(m)
     if q is None:  # every panel falls back; r is laid out as CholeskyQR2's is, so
         # later products make the same BLAS calls whichever panels fell back
@@ -188,21 +182,13 @@ def _each(lapack, mats: np.ndarray, *flags) -> tuple[np.ndarray, list]:
     """LAPACK in place on each matrix of a copy of a small matrix or stack
     (directly: numpy's wrapper costs more than the r x r work), ``flags``
     ending in the overwrite flag: the results, Fortran-ordered so a slice's
-    products make the same BLAS calls stacked as alone, and failed indices.
-    One matrix, alone or a stack of one, takes the call without the loop."""
-    out = _t(_t(mats).copy())
-    if out.ndim == 2 or len(out) == 1:
-        mat = out.reshape(out.shape[-2:])
+    products make the same BLAS calls stacked as alone, and failed indices."""
+    out, failed = _t(_t(mats).copy()), []
+    for k, mat in enumerate(out.reshape((-1,) + out.shape[-2:])):
         res, info = lapack(mat, *flags)
         if res is not mat:  # not done in place
             mat[...] = res
-        return out, [(0,)[:out.ndim - 2]] if info else []
-    failed = []
-    for k, mat in enumerate(out):
-        res, info = lapack(mat, *flags)
-        if res is not mat:
-            mat[...] = res
-        failed += [(k,)] if info else []
+        failed += [(k,)[:out.ndim - 2]] if info else []
     return out, failed
 
 
@@ -301,35 +287,22 @@ def _factor_augmented(basis, core, vec, row):
     (w the unit residual direction, :func:`_split_against_basis`), the
     panel is [basis | w] C for the (r+1) x r core C = [core + c row^T;
     rho row^T], so with C = Q R it is q = basis Q[:r] + w Q[r] and r = R:
-    a Householder QR of C (:func:`orthogonal_factorization`, CholeskyQR2
-    skipped), one n x r x r product and a rank-1 update.
-    Where rho = 0, C's last row is zero and so is Q's (each reflector
-    leaves it alone), so w, then not a unit vector, drops out."""
+    :func:`orthogonal_factorization` of C, one n x r x r product and a
+    rank-1 update.  [basis | w] is orthonormal, so C has the panel's
+    singular values: where the panel's rank is below r, CholeskyQR2 fails
+    on C as on the panel, and the fallback QR is of the small core.
+    Where rho = 0, C's last row is zero and so is Q's (C R^-1 keeps it
+    zero, and so does each Householder reflector), so w, then not a unit
+    vector, drops out."""
     n, r = basis.shape[-2:]
     side, resid = _split_against_basis(basis.reshape(-1, n, r), vec.reshape(-1, n).copy())
     c = side.reshape(vec.shape[:-1] + (r + 1, 1)) * row[..., None, :]
     c[..., :r, :] += core
-    q, rr = orthogonal_factorization(c, householder=True)
+    q, rr = orthogonal_factorization(c)
     out = basis @ q[..., :r, :]
     for ok, wk, qk in zip(_t(out).reshape(-1, r, n), resid, q[..., r, :].reshape(-1, r)):
         _dger(1.0, qk, wk, a=ok, overwrite_a=True)  # in place
     return out, rr
-
-
-def _householder(mats: np.ndarray):
-    """Q and R of each tall matrix of a stack, diag(R) >= 0, by LAPACK's
-    Householder QR (dgeqrf, then dorgqr) per matrix, Fortran-ordered as
-    :func:`_each`'s results are."""
-    r = mats.shape[-1]
-    q, rr = _t(_t(mats).copy()), np.zeros(mats.shape[:-2] + (r, r))
-    for qk, rk in zip(q.reshape((-1,) + q.shape[-2:]), rr.reshape(-1, r, r)):
-        qr, tau, _, _ = _dgeqrf(qk, overwrite_a=True)
-        rk[...] = np.triu(qr[:r])
-        qk[...] = _dorgqr(qr, tau, overwrite_a=True)[0]
-    sign = np.where(rr.diagonal(0, -2, -1) < 0.0, -1.0, 1.0)
-    q *= sign[..., None, :]
-    rr *= sign[..., :, None]
-    return q, rr
 
 
 def rank_one_svd_combine(factors: LowRankFactors,

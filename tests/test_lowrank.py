@@ -125,39 +125,37 @@ class TestEachMatrix:
             assert alone[0].flags.f_contiguous and one[0][0].flags.f_contiguous
 
 
-class TestHouseholder:
+class TestWarmUpCore:
     def test_zero_last_row_stays_zero(self):
         # A core whose last row is zero (rho = 0) and whose top block has
-        # rank 2 < r: Q's last row is exactly zero, Q orthonormal, QR = C.
+        # rank 2 < r, beside a zero core: Q's last row is exactly zero, Q
+        # orthonormal, QR = C; the zero core gives identity columns.
         rng = np.random.default_rng(41)
         c = np.zeros((6, 5))
         c[:5] = rng.standard_normal((5, 2)) @ rng.standard_normal((2, 5))
-        q, r = lowrank_mod._householder(np.stack([c, np.zeros((6, 5))]))
+        q, r = orthogonal_factorization(np.stack([c, np.zeros((6, 5))]))
         assert not q[:, 5].any()
         assert np.array_equal(q[1], np.eye(6, 5)) and not r[1].any()
         assert_orthonormal(q[0], tol=1e-14)
         assert np.abs(q[0] @ r[0] - c).max() <= 1e-14 * np.abs(c).max()
         assert (np.diagonal(r, 0, 1, 2) >= 0.0).all() and np.array_equal(np.triu(r), r)
 
-    def test_public_entry_skips_cholesky_qr2(self, monkeypatch):
-        # householder=True gives _householder's bits, rank-deficient or not,
-        # with no CholeskyQR2 attempt and no np.linalg.qr.
-        rng = np.random.default_rng(42)
-        low = rng.standard_normal((7, 2)) @ rng.standard_normal((2, 4))
-        mats = np.stack([low, rng.standard_normal((7, 4))])
-        for name, owner in (("_cholesky_qr2", lowrank_mod), ("qr", np.linalg)):
-            monkeypatch.setattr(owner, name, lambda *a: pytest.fail(f"{name} called"))
-        for m in (mats, mats[1]):
-            q, r = orthogonal_factorization(m, householder=True)
-            ref_q, ref_r = lowrank_mod._householder(m)
-            assert q.tobytes() == ref_q.tobytes() and r.tobytes() == ref_r.tobytes()
+    def test_zero_last_row_stays_zero_through_cholesky_qr2(self):
+        # A full-rank core with a zero last row takes CholeskyQR2: C R^-1
+        # keeps the row exactly zero.
+        c = np.zeros((6, 5))
+        c[:5] = np.random.default_rng(44).standard_normal((5, 5))
+        assert lowrank_mod._cholesky_qr2(c)[2] == []
+        q, r = orthogonal_factorization(c)
+        assert not q[5].any()
+        assert_orthonormal(q, tol=1e-14)
 
     def test_warm_step_factors_both_cores_by_the_public_entry(self, monkeypatch):
         # The warm-up kernel's two QRs go through orthogonal_factorization,
         # so a wrapper of the public function sees two calls per step.
         calls, real = [], lowrank_mod.orthogonal_factorization
         monkeypatch.setattr(lowrank_mod, "orthogonal_factorization",
-                            lambda m, **k: calls.append((m.shape, k)) or real(m, **k))
+                            lambda m: calls.append(m.shape) or real(m))
         rng = np.random.default_rng(43)
         n, r = 9, 3
         s = np.zeros((r, r))
@@ -165,7 +163,7 @@ class TestHouseholder:
         factors = LowRankFactors(np.eye(n, r), s, np.eye(n, r))
         lowrank_mod._warm_splitting_step(
             factors, RankOneIncrement(rng.standard_normal(n), rng.standard_normal(n), 0.4))
-        assert calls == [((r + 1, r), {"householder": True})] * 2
+        assert calls == [(r + 1, r)] * 2
 
 
 class TestProjectorSplittingStep:
@@ -568,7 +566,7 @@ def test_no_dense_allocation_in_updates():
 _SAME_ROUTINES = """
 from adagram import lowrank
 from scipy.linalg import blas, lapack
-for name in ("dgeqrf", "dorgqr", "dpotrf", "dtrtri", "dgetrf", "dgetri"):
+for name in ("dpotrf", "dtrtri", "dgetrf", "dgetri"):
     assert getattr(lowrank, "_" + name) is getattr(lapack, name), name
 assert lowrank._dger is blas.dger
 """
