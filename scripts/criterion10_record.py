@@ -42,14 +42,32 @@ def run(tree: str) -> str:
     return proc.stdout + proc.stderr
 
 
-def record(trees: dict, runs: int, runner=run) -> dict:
-    """``runs`` alternating runs per tree (the parent first in even runs),
-    and each side's pass count and rate."""
-    out: dict = {"test": TEST, "runs": []}
+def alternate(trees: dict, runs: int, runner, parse) -> list:
+    """``runs`` runs per tree, the parent first in even runs, each parsed."""
+    out = []
     for i in range(runs):
         order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
-        out["runs"].append({"run": i, "first": order[0],
-                            **{side: parse(runner(trees[side])) for side in order}})
+        out.append({"run": i, "first": order[0],
+                    **{side: parse(runner(trees[side])) for side in order}})
+    return out
+
+
+def store(path: str, key: str, value) -> dict:
+    """The record at ``path`` with ``value`` under ``key``, written back."""
+    result: dict = {}
+    if os.path.exists(path):
+        with open(path, encoding="utf-8") as fh:
+            result = json.load(fh)
+    result[key] = value
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(result, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    return result
+
+
+def record(trees: dict, runs: int, runner=run) -> dict:
+    """``runs`` alternating runs per tree, and each side's pass count and rate."""
+    out: dict = {"test": TEST, "runs": alternate(trees, runs, runner, parse)}
     for side in trees:
         passes = sum(r[side]["passed"] for r in out["runs"])
         out[side] = {"passes": passes, "runs": runs, "pass_rate": passes / runs if runs else None}
@@ -64,14 +82,7 @@ def main(argv=None, runner=run) -> int:
     p.add_argument("--out", required=True, help="BENCH_<pr>.json to write into")
     args = p.parse_args(argv)
     trees = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
-    result: dict = {}
-    if os.path.exists(args.out):
-        with open(args.out, encoding="utf-8") as fh:
-            result = json.load(fh)
-    result["criterion_10"] = record(trees, args.runs, runner)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(result, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    result = store(args.out, "criterion_10", record(trees, args.runs, runner))
     for side in trees:
         s = result["criterion_10"][side]
         print(f"{side}: {s['passes']} of {s['runs']} passed")

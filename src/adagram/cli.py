@@ -153,6 +153,8 @@ def main(argv=None) -> int:
         report = run_invariant_suite()
         return EXIT_OK if report.all_passed else EXIT_INVARIANT
     try:
+        if args.workers < 1:  # refused on a single run too, where it is unused
+            raise ConfigError(f"workers must be >= 1, got {args.workers}")
         cfg = _build_config(args)
         if args.grid:
             return _run_grid(cfg, args.grid, args.out, args.workers)

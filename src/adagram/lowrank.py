@@ -3,10 +3,11 @@
 Two update schemes are provided: a first-order projector-splitting step
 (K-, core-, L-substeps) and a Brand-style truncated incremental SVD.  The
 former orthogonalizes its two n x r panels by CholeskyQR2 with a
-Householder fallback; while its factors have rank below r < n (from zero
-factors, steps 0 .. r-1, which the preconditioner selects by its step
-count), it factors each panel through its (r+1) x r core in the basis
-augmented by the increment's residual direction instead.  The latter
+Householder fallback (a panel whose first round is already orthonormal to
+eps level skips the second); while its factors have rank below r < n
+(from zero factors, steps 0 .. r-1, which the preconditioner selects by
+its step count), it factors each panel through its (r+1) x r core in the
+basis augmented by the increment's residual direction instead.  The latter
 writes the sum exactly on an (r+1) x (r+1) core and always leaves the
 same way: it drops the core's smallest singular triplet with one
 Householder reflector per side.  The triplet comes from one LU of the
@@ -64,6 +65,14 @@ _SUBSPACE_TOL = 1e-12
 _RANK_ONE_TOL = 1e-14
 _SQUARINGS = (6, 9, 12)
 _RESIDUAL_TOL = 1e-13
+
+# CholeskyQR2: a panel whose first round leaves every entry of |q1^T q1 - I|
+# within this skips the second round.  The second round delivers about
+# 1e-15 (at most 1.1e-15 on the steady panels of a run at n 1024, rank 48),
+# so the panels kept are within a few times that, far inside the 1e-13 the
+# bases must keep; each step factors a newly formed panel, so nothing of it
+# carries over to the next step.
+_CERTIFIED_TOL = 4e-15
 
 
 def _t(a: np.ndarray) -> np.ndarray:
@@ -147,11 +156,13 @@ def zero_factors(dim: int, rank: int, lead: tuple = ()) -> LowRankFactors:
 def orthogonal_factorization(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Factor m = q @ r with orthonormal columns in q and diag(r) >= 0.
 
-    Fast path is CholeskyQR2: two rounds of Gram matrix, Cholesky, and
+    Fast path is CholeskyQR2: rounds of Gram matrix, Cholesky, and
     triangular inverse, all GEMM-shaped, so the cost stays linear in n for
-    fixed r (LAPACK's Householder QR on tall panels is not).  The second
-    round certifies orthogonality; rank-deficient or badly conditioned
-    panels fall back to Householder QR, whose reflectors complete the basis
+    fixed r (LAPACK's Householder QR on tall panels is not).  The first
+    round's Gram matrix is checked: a panel it shows already orthonormal to
+    eps level stops there, and the others take a second round, which brings
+    them to that level.  Rank-deficient or badly conditioned panels fall
+    back to Householder QR, whose reflectors complete the basis
     deterministically (a zero matrix yields identity columns).  Callers
     never see an error.  A stack of panels is factored slice by slice.
     """
@@ -194,32 +205,43 @@ def _each(lapack, mats: np.ndarray, *flags) -> tuple[np.ndarray, list]:
 
 def _cholesky_qr2(m: np.ndarray):
     """CholeskyQR2 of a panel or each panel of a stack: q, r and the panels
-    that need the Householder fallback.  The r x r triangular factors are
-    inverted explicitly so every tall product is a plain GEMM; inaccuracy
-    from the first inversion is wiped out by the second pass.  Both
-    Cholesky diagonals are positive, so the returned r needs no sign fix.
+    that need the Householder fallback, each listed once.  The r x r
+    triangular factors are inverted explicitly so every tall product is a
+    plain GEMM.  The first round's Gram matrix certifies its q: a panel
+    within _CERTIFIED_TOL of orthonormal keeps q1 and R1, and only the
+    others take the second round, which wipes out the first inversion's
+    inaccuracy.  Both Cholesky diagonals are positive, so the returned r
+    needs no sign fix; it is laid out as R1 R2 is for every panel.
     """
     low1, failed = _each(_dpotrf, _t(m) @ m, 1, 1, 1)  # lower, clean, in place
-    panels = math.prod(m.shape[:-2])
-    if len(failed) == panels:
+    if len(failed) == math.prod(m.shape[:-2]):
         return None, None, failed
     for k in failed:  # keep the discarded work on such a panel cheap and finite
         low1[k] = _eye(m.shape[-1])
     inv1, failed2 = _each(_dtrtri, low1, 1, 0, 1)  # lower, not unit, in place
-    failed += failed2  # a repeat redoes a fallback
-    q1 = m @ _t(inv1)
-    gram2 = _t(q1) @ q1
-    # Pass one must land near orthonormal for pass two to certify eps-level
+    q = m @ _t(inv1)
+    gram2 = _t(q) @ q
+    # Round one must land near orthonormal for round two to reach eps-level
     # orthogonality; otherwise the panel is too ill-conditioned.  The
     # comparison is also false for a non-finite gram2.
-    deviation = np.abs(gram2 - _eye(m.shape[-1]))
-    if not deviation.max() <= 1e-3:
-        failed += map(tuple, np.argwhere(~(deviation.max(axis=(-2, -1)) <= 1e-3)).tolist())
-        if len(set(failed)) == panels:
-            return None, None, failed
-    low2, failed3 = _each(_dpotrf, gram2, 1, 1, 1)
-    inv2, failed4 = _each(_dtrtri, low2, 1, 0, 1)
-    return q1 @ _t(inv2), _t(low1 @ low2), failed + failed3 + failed4
+    deviation = np.abs(gram2 - _eye(m.shape[-1])).max(axis=(-2, -1))
+    fallback = np.zeros(m.shape[:-2], dtype=bool)
+    for k in failed + failed2:
+        fallback[k] = True
+    fallback |= ~(deviation <= 1e-3)
+    if fallback.all():
+        return None, None, list(map(tuple, np.argwhere(fallback)))
+    r = low1.copy()  # C order: _t(r) is laid out as _t(low1 @ low2)
+    redo = ~fallback & (deviation > _CERTIFIED_TOL)
+    if redo.any():  # each such panel makes the calls it would make alone
+        low2, failed3 = _each(_dpotrf, gram2[redo], 1, 1, 1)
+        inv2, failed4 = _each(_dtrtri, low2, 1, 0, 1)
+        q[redo] = q[redo] @ _t(inv2)
+        r[redo] = low1[redo] @ low2
+        panels = np.argwhere(redo)
+        for (j,) in failed3 + failed4:
+            fallback[tuple(panels[j])] = True
+    return q, _t(r), list(map(tuple, np.argwhere(fallback)))
 
 
 def _check_increment(factors: LowRankFactors, inc: RankOneIncrement) -> None:

@@ -817,6 +817,22 @@ class TestCli:
         assert code == 2
         assert "workers must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_one_is_refused_without_a_grid(self, workers, tmp_path, capsys):
+        # The single run refuses the value with the grid's message, and
+        # trains nothing.
+        grid_file = tmp_path / "grid.cfg"
+        grid_file.write_text("lr = 0.05, 0.2\n")
+        run = ["--dataset", "synthetic:isotropic", "--optimizer", "sgd", "--epochs", "1",
+               "--workers", workers]
+        errors = []
+        for extra in ([], ["--grid", str(grid_file)]):
+            out = tmp_path / f"out{len(extra)}"
+            assert cli_main(run + extra + ["--out", str(out)]) == 2
+            errors.append(capsys.readouterr().err)
+            assert not out.exists()
+        assert errors == [f"error: workers must be >= 1, got {workers}\n"] * 2
+
     def test_grid_mode(self, tmp_path):
         grid_file = tmp_path / "grid.cfg"
         grid_file.write_text("lr = 0.05, 0.2\neps = 0.01\n")

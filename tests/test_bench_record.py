@@ -181,3 +181,62 @@ class TestCriterion10Record:
         assert c10["runs"][1]["change"] == {"passed": False, "ratios": [1.08, 1.86]}
         assert (c10["parent"]["passes"], c10["parent"]["pass_rate"]) == (4, 1.0)
         assert (c10["change"]["passes"], c10["change"]["pass_rate"]) == (3, 0.75)
+
+
+_spec_t1 = importlib.util.spec_from_file_location("tier1_record",
+                                                  ROOT / "scripts" / "tier1_record.py")
+tier1_record = importlib.util.module_from_spec(_spec_t1)
+_spec_t1.loader.exec_module(tier1_record)
+
+TIER1_OUT = (
+    "........................................................................ [ 11%]\n"
+    "============================= slowest durations ==============================\n"
+    "8.31s setup    tests/test_acceptance.py::test_criterion_8_uci_accuracy_parity\n"
+    "4.59s call     tests/test_acceptance.py::test_criterion_10_linear_scaling_and_no_dense_"
+    "allocation\n"
+    "0.12s setup    tests/test_acceptance.py::test_criterion_10_linear_scaling_and_no_dense_"
+    "allocation\n"
+    "0.40s call     tests/test_acceptance.py::test_criterion_8_uci_accuracy_parity\n"
+    "\n(12 durations < 0.005s hidden.  Use -vv to show these durations.)\n"
+    "602 passed in 30.54s\n")
+TIER1_FAIL_OUT = (
+    "FAILED tests/test_acceptance.py::test_criterion_10_linear_scaling_and_no_dense_allocation"
+    " - AssertionError\n"
+    "1 failed, 601 passed, 2 warnings in 62.80s (0:01:02)\n")
+
+
+class TestTier1Record:
+    def test_parse_canned_output(self):
+        assert tier1_record.parse(TIER1_OUT) == {
+            "passed": 602, "failed": 0, "total_s": 30.54,
+            "criterion_8_setup_s": 8.31, "criterion_10_call_s": 4.59}
+        assert tier1_record.parse(TIER1_FAIL_OUT) == {
+            "passed": 601, "failed": 1, "total_s": 62.8,
+            "criterion_8_setup_s": None, "criterion_10_call_s": None}
+        crashed = "ImportError while loading conftest\n"
+        assert tier1_record.parse(crashed)["total_s"] is None
+
+    def test_alternating_runs_and_medians(self, tmp_path):
+        out = tmp_path / "BENCH.json"
+        out.write_text(json.dumps({"criterion_10": {"runs": []}}))
+        calls = []
+
+        def runner(tree):  # the change's runs are a second faster, its first crashes
+            calls.append(tree)
+            if tree.endswith("change"):
+                return "crashed\n" if len(calls) == 2 else TIER1_OUT.replace("30.54", "29.54")
+            return TIER1_OUT
+        argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+                "--runs", "3", "--out", str(out)]
+        assert tier1_record.main(argv, runner) == 0
+        assert [pathlib.Path(t).name for t in calls] == ["parent", "change", "change", "parent",
+                                                          "parent", "change"]
+        record = json.loads(out.read_text())
+        assert record["criterion_10"] == {"runs": []}  # the rest of the record is kept
+        t1 = record["tier1"]
+        assert [r["first"] for r in t1["runs"]] == ["parent", "change", "parent"]
+        assert t1["runs"][0]["change"]["total_s"] is None
+        assert t1["parent"] == {"runs": 3, "median_total_s": 30.54,
+                                "median_criterion_8_setup_s": 8.31,
+                                "median_criterion_10_call_s": 4.59}
+        assert t1["change"]["median_total_s"] == 29.54

@@ -125,6 +125,95 @@ class TestEachMatrix:
             assert alone[0].flags.f_contiguous and one[0][0].flags.f_contiguous
 
 
+class TestCertifiedRound:
+    """CholeskyQR2 keeps the first round of a panel its Gram matrix shows
+    orthonormal, and runs the second on the others only."""
+
+    @staticmethod
+    def count(monkeypatch):
+        """The r x r LAPACK calls made, by routine."""
+        calls = {"_dpotrf": 0, "_dtrtri": 0}
+        for name in calls:
+            real = getattr(lowrank_mod, name)
+
+            def spy(*a, name=name, real=real):
+                calls[name] += 1
+                return real(*a)
+            monkeypatch.setattr(lowrank_mod, name, spy)
+        return calls
+
+    @staticmethod
+    def panel(rng, cond, n=200, r=6):
+        """An n x r panel with singular values from 1 down to 1 / cond."""
+        return (random_orthonormal(rng, n, r) * np.logspace(0, -np.log10(cond), r)
+                @ random_orthonormal(rng, r, r))
+
+    @staticmethod
+    def first_round(m):
+        """q1, R1 and the largest entry of |q1^T q1 - I| of a lone panel."""
+        low1, _ = lowrank_mod._each(lowrank_mod._dpotrf, m.T @ m, 1, 1, 1)
+        inv1, _ = lowrank_mod._each(lowrank_mod._dtrtri, low1, 1, 0, 1)
+        q1 = m @ inv1.T
+        return q1, low1.T, np.abs(q1.T @ q1 - np.eye(m.shape[1])).max()
+
+    def test_well_conditioned_panel_keeps_the_first_round(self, monkeypatch):
+        m = self.panel(np.random.default_rng(50), 2.0)
+        q1, r1, deviation = self.first_round(m)
+        assert deviation <= lowrank_mod._CERTIFIED_TOL
+        calls = self.count(monkeypatch)
+        q, r = orthogonal_factorization(m)
+        assert calls == {"_dpotrf": 1, "_dtrtri": 1}
+        assert q.tobytes() == q1.tobytes() and np.array_equal(r, r1)
+
+    def test_ill_conditioned_panel_takes_the_second_round(self, monkeypatch):
+        m = self.panel(np.random.default_rng(51), 1e5)
+        assert lowrank_mod._CERTIFIED_TOL < self.first_round(m)[2] <= 1e-3
+        calls = self.count(monkeypatch)
+        q, r = orthogonal_factorization(m)
+        assert calls == {"_dpotrf": 2, "_dtrtri": 2}
+        assert np.abs(q.T @ q - np.eye(m.shape[1])).max() <= 1e-13
+        assert np.abs(q @ r - m).max() <= 1e-14
+        assert (np.diag(r) > 0.0).all() and np.array_equal(np.triu(r), r)
+
+    def test_a_slice_alone_as_in_a_stack(self):
+        # The ill-conditioned panel between two certified ones: the stack
+        # gives each slice the bits of its lone call, and r the same layout.
+        rng = np.random.default_rng(52)
+        stack = np.stack([self.panel(rng, 2.0), self.panel(rng, 1e5), self.panel(rng, 3.0)])
+        qs, rs = orthogonal_factorization(stack)
+        for k, m in enumerate(stack):
+            q, r = orthogonal_factorization(m)
+            assert q.tobytes() == qs[k].tobytes() and r.tobytes() == rs[k].tobytes()
+            assert r.strides == rs.strides[1:] and q.strides == qs.strides[1:]
+
+    def test_a_failed_panel_is_listed_once(self, monkeypatch):
+        # A rank-deficient panel fails the first Cholesky and is not listed
+        # again by the 1e-3 test: one Householder QR, the bits unchanged.
+        rng = np.random.default_rng(53)
+        col = rng.standard_normal((30, 1))
+        stack = np.stack([self.panel(rng, 2.0, n=30, r=3), np.hstack([col, 2 * col, -col])])
+        assert lowrank_mod._cholesky_qr2(stack)[2] == [(1,)]
+        qrs, real = [], np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda a: qrs.append(a.shape) or real(a))
+        q, r = orthogonal_factorization(stack)
+        assert qrs == [(30, 3)]
+        q1, r1 = real(stack[1])
+        flip = np.where(np.diag(r1) < 0.0, -1.0, 1.0)
+        assert np.array_equal(q[1], q1 * flip) and np.array_equal(r[1], flip[:, None] * r1)
+
+    def test_steady_step_makes_four_lapack_calls(self, monkeypatch):
+        # At mn 1024, rank 48, after the warm-up steps, both panels of a
+        # step are certified: one dpotrf and one dtrtri each.
+        rng = np.random.default_rng(54)
+        n, r = 1024, 48
+        state = IntegratorState(n, eps=1e-2, rank=r)
+        for _ in range(r + 2):
+            update_integrator(state, apply_inverse(state, rng.standard_normal(n)))
+        calls = self.count(monkeypatch)
+        update_integrator(state, apply_inverse(state, rng.standard_normal(n)))
+        assert calls == {"_dpotrf": 2, "_dtrtri": 2}
+
+
 class TestWarmUpCore:
     def test_zero_last_row_stays_zero(self):
         # A core whose last row is zero (rho = 0) and whose top block has
