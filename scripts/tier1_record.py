@@ -5,13 +5,15 @@
 
 Runs the tier-1 suite (the command in ROADMAP.md) with `--durations=0`, in
 a fresh pytest process, N times in each tree, alternating which tree goes
-first.  From each run's output it keeps the pass and fail counts and the
-total of pytest's last line, the setup time of criterion 8's grid fixture
-(charged to the one test that uses it) and the call time of criterion 10;
-a time the output does not show is None.  The runs and each side's median
-times go under the `tier1` key of --out, which keeps the rest of an
-existing record (run it after `scripts/bench_record.py`).  It only runs
-pytest and reads its output.
+first.  From each run's output it keeps the pass, fail and error counts
+and the total of pytest's last line, the `FAILED <nodeid>` and
+`ERROR <nodeid>` lines of its short summary, the setup time of criterion
+8's grid fixture (charged to the one test that uses it) and the call time
+of criterion 10; a time the output does not show is None.  The runs, each
+side's count of clean runs (a total, and no failure or error) and its
+median times go under the `tier1` key of --out, which keeps the rest of
+an existing record (run it after `scripts/bench_record.py`).  It only
+runs pytest and reads its output.
 """
 
 from __future__ import annotations
@@ -34,18 +36,22 @@ DURATIONS = {
     "criterion_10_call_s": ("call", ACCEPTANCE + "10_linear_scaling_and_no_dense_allocation"),
 }
 FINAL = re.compile(r"^=*\s*(\d+ \w+(?:, \d+ \w+)*) in ([\d.]+)s\b", re.M)
+NOT_PASSED = re.compile(r"^((?:FAILED|ERROR) \S+)", re.M)
+OUTCOMES = {"passed": "passed", "failed": "failed", "error": "error", "errors": "error"}
 
 
 def parse(output: str) -> dict:
-    """The counts and total of pytest's last line, and the two durations."""
-    out: dict = {"passed": 0, "failed": 0, "total_s": None}
+    """The counts and total of pytest's last line, the tests that failed
+    or errored, and the two durations."""
+    out: dict = {"passed": 0, "failed": 0, "error": 0, "total_s": None,
+                 "not_passed": NOT_PASSED.findall(output)}
     final = FINAL.findall(output)
     if final:
         counts, total = final[-1]
         for count in counts.split(", "):
             n, _, outcome = count.partition(" ")
-            if outcome in ("passed", "failed"):
-                out[outcome] = int(n)
+            if outcome in OUTCOMES:
+                out[OUTCOMES[outcome]] = int(n)
         out["total_s"] = float(total)
     for key, (phase, test) in DURATIONS.items():
         match = re.search(rf"^([\d.]+)s {phase} +{re.escape(test)}$", output, re.M)
@@ -62,14 +68,18 @@ def run(tree: str) -> str:
 
 
 def record(trees: dict, runs: int, runner=run) -> dict:
-    """``runs`` alternating runs per tree, and each side's median of each
-    time over the runs that show it."""
+    """``runs`` alternating runs per tree, and each side's count of clean
+    runs and median of each time over the runs that show it."""
     out: dict = {"args": ARGS, "runs": alternate(trees, runs, runner, parse)}
     for side in trees:
-        times = {key: [r[side][key] for r in out["runs"] if r[side][key] is not None]
+        sides = [r[side] for r in out["runs"]]
+        times = {key: [s[key] for s in sides if s[key] is not None]
                  for key in ("total_s", *DURATIONS)}
-        out[side] = {"runs": runs, **{f"median_{key}": statistics.median(v) if v else None
-                                      for key, v in times.items()}}
+        clean = sum(s["total_s"] is not None and not s["failed"] and not s["error"]
+                    for s in sides)
+        out[side] = {"runs": runs, "clean_runs": clean,
+                     **{f"median_{key}": statistics.median(v) if v else None
+                        for key, v in times.items()}}
     return out
 
 
@@ -84,7 +94,8 @@ def main(argv=None, runner=run) -> int:
     result = store(args.out, "tier1", record(trees, args.runs, runner))
     for side in trees:
         s = result["tier1"][side]
-        print(f"{side}: median total {s['median_total_s']} s, criterion-8 fixture "
+        print(f"{side}: {s['clean_runs']} of {s['runs']} runs clean, "
+              f"median total {s['median_total_s']} s, criterion-8 fixture "
               f"{s['median_criterion_8_setup_s']} s, "
               f"criterion 10 {s['median_criterion_10_call_s']} s")
     return 0

@@ -4,23 +4,24 @@ Two update schemes are provided: a first-order projector-splitting step
 (K-, core-, L-substeps) and a Brand-style truncated incremental SVD.  The
 former orthogonalizes its two n x r panels by CholeskyQR2 with a
 Householder fallback (a panel whose first round is already orthonormal to
-eps level skips the second); while its factors have rank below r < n
-(from zero factors, steps 0 .. r-1, which the preconditioner selects by
-its step count), it factors each panel through its (r+1) x r core in the
-basis augmented by the increment's residual direction instead.  The latter
-writes the sum exactly on an (r+1) x (r+1) core and always leaves the
-same way: it drops the core's smallest singular triplet with one
-Householder reflector per side.  The triplet comes from one LU of the
-core by repeated squaring of (M^T M)^{-1}, from a full SVD of the core
-where that does not succeed, or is the last coordinate on a side whose
-residual direction is missing.  Both schemes operate on factored
-quantities only (no n x n array is ever formed) and keep the core a
-general r x r matrix.
+eps level skips the second, and a stack of such panels returns after that
+one test); while its factors have rank below r < n (from zero factors,
+steps 0 .. r-1, which the preconditioner selects by its step count), it
+factors each panel through its (r+1) x r core in the basis augmented by
+the increment's residual direction instead.  The latter writes the sum
+exactly on an (r+1) x (r+1) core and always leaves the same way: it
+drops the core's smallest singular triplet with one Householder reflector
+per side.  The triplet comes from one LU of the core by repeated
+squaring of (M^T M)^{-1}, from a full SVD of the core where that does
+not succeed, or is the last coordinate on a side whose residual direction
+is missing.  Both schemes operate on factored quantities only (no n x n
+array is ever formed) and keep the core a general r x r matrix.
 
 A leading axis may stack K independent problems.  Stacked products are
 batched ``np.matmul`` calls, one BLAS call per slice, so a slice gets the
-same bits in a stack as alone; the r x r LAPACK calls, the rank-1 basis
-updates and the Householder fallback of the QR run slice by slice.
+same bits in a stack as alone; the r x r LAPACK calls, the rank-1 panel
+and basis updates and the Householder fallback of the QR run slice by
+slice.
 """
 
 from __future__ import annotations
@@ -210,8 +211,10 @@ def _cholesky_qr2(m: np.ndarray):
     plain GEMM.  The first round's Gram matrix certifies its q: a panel
     within _CERTIFIED_TOL of orthonormal keeps q1 and R1, and only the
     others take the second round, which wipes out the first inversion's
-    inaccuracy.  Both Cholesky diagonals are positive, so the returned r
-    needs no sign fix; it is laid out as R1 R2 is for every panel.
+    inaccuracy.  Where every panel is certified (the steady case) it
+    returns after that one test.  Both Cholesky diagonals are positive, so
+    the returned r needs no sign fix; it is laid out as R1 R2 is for every
+    panel.
     """
     low1, failed = _each(_dpotrf, _t(m) @ m, 1, 1, 1)  # lower, clean, in place
     if len(failed) == math.prod(m.shape[:-2]):
@@ -225,6 +228,8 @@ def _cholesky_qr2(m: np.ndarray):
     # orthogonality; otherwise the panel is too ill-conditioned.  The
     # comparison is also false for a non-finite gram2.
     deviation = np.abs(gram2 - _eye(m.shape[-1])).max(axis=(-2, -1))
+    if not (failed or failed2) and deviation.max() <= _CERTIFIED_TOL:
+        return q, _t(low1.copy()), []  # r in the layout of the general path
     fallback = np.zeros(m.shape[:-2], dtype=bool)
     for k in failed + failed2:
         fallback[k] = True
@@ -298,9 +303,12 @@ def _splitting_step(factors, inc, factor):
 
 
 def _factor_panel(basis, core, vec, row):
-    """:func:`orthogonal_factorization` of the panel, formed."""
+    """:func:`orthogonal_factorization` of the panel, formed, its rank-1
+    term added in place (one BLAS ``dger`` per slice)."""
+    n, r = basis.shape[-2:]
     panel = basis @ core
-    panel += vec[..., :, None] * row[..., None, :]
+    for pk, vk, rk in zip(_t(panel).reshape(-1, r, n), vec.reshape(-1, n), row.reshape(-1, r)):
+        _dger(1.0, rk, vk, a=pk, overwrite_a=True)
     return orthogonal_factorization(panel)
 
 

@@ -203,15 +203,29 @@ TIER1_FAIL_OUT = (
     "FAILED tests/test_acceptance.py::test_criterion_10_linear_scaling_and_no_dense_allocation"
     " - AssertionError\n"
     "1 failed, 601 passed, 2 warnings in 62.80s (0:01:02)\n")
+TIER1_ERROR_OUT = (
+    "==================================== ERRORS ====================================\n"
+    "____________________ ERROR collecting tests/test_data.py _____________________\n"
+    "=========================== short test summary info ============================\n"
+    "ERROR tests/test_data.py - ImportError: cannot import name 'load_libsvm'\n"
+    "ERROR tests/test_bench.py::TestCli::test_grid - OSError\n"
+    "600 passed, 2 errors in 35.10s\n")
 
 
 class TestTier1Record:
     def test_parse_canned_output(self):
         assert tier1_record.parse(TIER1_OUT) == {
-            "passed": 602, "failed": 0, "total_s": 30.54,
+            "passed": 602, "failed": 0, "error": 0, "total_s": 30.54, "not_passed": [],
             "criterion_8_setup_s": 8.31, "criterion_10_call_s": 4.59}
         assert tier1_record.parse(TIER1_FAIL_OUT) == {
-            "passed": 601, "failed": 1, "total_s": 62.8,
+            "passed": 601, "failed": 1, "error": 0, "total_s": 62.8,
+            "not_passed": ["FAILED tests/test_acceptance.py::test_criterion_10_linear_scaling_"
+                           "and_no_dense_allocation"],
+            "criterion_8_setup_s": None, "criterion_10_call_s": None}
+        assert tier1_record.parse(TIER1_ERROR_OUT) == {  # not clean, though none failed
+            "passed": 600, "failed": 0, "error": 2, "total_s": 35.1,
+            "not_passed": ["ERROR tests/test_data.py",
+                           "ERROR tests/test_bench.py::TestCli::test_grid"],
             "criterion_8_setup_s": None, "criterion_10_call_s": None}
         crashed = "ImportError while loading conftest\n"
         assert tier1_record.parse(crashed)["total_s"] is None
@@ -221,11 +235,11 @@ class TestTier1Record:
         out.write_text(json.dumps({"criterion_10": {"runs": []}}))
         calls = []
 
-        def runner(tree):  # the change's runs are a second faster, its first crashes
-            calls.append(tree)
+        def runner(tree):  # the change's runs are a second faster, its first crashes;
+            calls.append(tree)  # the parent's last run has an error
             if tree.endswith("change"):
                 return "crashed\n" if len(calls) == 2 else TIER1_OUT.replace("30.54", "29.54")
-            return TIER1_OUT
+            return TIER1_ERROR_OUT.replace("35.10", "30.54") if len(calls) == 5 else TIER1_OUT
         argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
                 "--runs", "3", "--out", str(out)]
         assert tier1_record.main(argv, runner) == 0
@@ -236,7 +250,9 @@ class TestTier1Record:
         t1 = record["tier1"]
         assert [r["first"] for r in t1["runs"]] == ["parent", "change", "parent"]
         assert t1["runs"][0]["change"]["total_s"] is None
-        assert t1["parent"] == {"runs": 3, "median_total_s": 30.54,
+        assert t1["runs"][2]["parent"]["error"] == 2
+        assert t1["parent"] == {"runs": 3, "clean_runs": 2, "median_total_s": 30.54,
                                 "median_criterion_8_setup_s": 8.31,
                                 "median_criterion_10_call_s": 4.59}
         assert t1["change"]["median_total_s"] == 29.54
+        assert t1["change"]["clean_runs"] == 2

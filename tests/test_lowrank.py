@@ -186,6 +186,25 @@ class TestCertifiedRound:
             assert q.tobytes() == qs[k].tobytes() and r.tobytes() == rs[k].tobytes()
             assert r.strides == rs.strides[1:] and q.strides == qs.strides[1:]
 
+    def test_a_certified_panel_alone_as_in_either_stack(self, monkeypatch):
+        # A certified panel gets the q and r bits of its lone call in a
+        # stack of certified panels, which returns after the one test (no
+        # fallback mask is built), and in a stack whose other panel takes
+        # the second round and so the general path.
+        rng = np.random.default_rng(55)
+        good, other, bad = self.panel(rng, 2.0), self.panel(rng, 3.0), self.panel(rng, 1e5)
+        q, r = orthogonal_factorization(good)
+        calls, argwhere, real = self.count(monkeypatch), [], np.argwhere
+        monkeypatch.setattr(np, "argwhere", lambda a: argwhere.append(a.shape) or real(a))
+        for stack, lapack, general in (((other, good), 2, False), ((bad, good), 3, True)):
+            calls.update(_dpotrf=0, _dtrtri=0)
+            argwhere.clear()
+            qs, rs = orthogonal_factorization(np.stack(stack))
+            assert calls == {"_dpotrf": lapack, "_dtrtri": lapack}
+            assert bool(argwhere) == general
+            assert q.tobytes() == qs[1].tobytes() and r.tobytes() == rs[1].tobytes()
+            assert r.strides == rs.strides[1:] and q.strides == qs.strides[1:]
+
     def test_a_failed_panel_is_listed_once(self, monkeypatch):
         # A rank-deficient panel fails the first Cholesky and is not listed
         # again by the 1e-3 test: one Householder QR, the bits unchanged.
@@ -212,6 +231,48 @@ class TestCertifiedRound:
         calls = self.count(monkeypatch)
         update_integrator(state, apply_inverse(state, rng.standard_normal(n)))
         assert calls == {"_dpotrf": 2, "_dtrtri": 2}
+
+
+class TestPanelUpdate:
+    """The steady step adds its panels' rank-1 terms in place, and the
+    public entries leave their inputs as they are."""
+
+    def test_steady_step_allocates_no_panel_sized_temporary(self):
+        # While the second panel is factored, u1, the panel and its q are
+        # alive: three n x r arrays and some vectors.  A broadcast
+        # vec * row would add a fourth (3.64 arrays in all, traced).
+        rng = np.random.default_rng(55)
+        n, r = 4096, 8
+        state = IntegratorState(n, eps=1e-2, rank=r)
+        for _ in range(r + 5):
+            update_integrator(state, apply_inverse(state, rng.standard_normal(n)))
+        gbar = apply_inverse(state, rng.standard_normal(n))
+        tracemalloc.start()
+        try:
+            update_integrator(state, gbar)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.4 * state.factors.u.nbytes
+
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    @pytest.mark.parametrize("core_rank", [None, 1])  # steady; warm-up (rank below r)
+    def test_public_entries_leave_their_inputs_unchanged(self, lead, core_rank):
+        rng = np.random.default_rng(57)
+        n, r = 12, 4
+        cells = [random_factors(rng, n, r, core_rank) for _ in range(math.prod(lead))]
+        factors = LowRankFactors(*(np.reshape([getattr(f, x) for f in cells], lead + shape)
+                                   for x, shape in zip("usv", [(n, r), (r, r), (n, r)])))
+        inc = RankOneIncrement(rng.standard_normal(lead + (n,)), rng.standard_normal(lead + (n,)),
+                               rng.uniform(0.5, 2.0, lead))
+        panel = factors.u @ factors.s
+        arrays = (factors.u, factors.s, factors.v, inc.a, inc.b, panel)
+        before = [x.tobytes() for x in arrays]
+        projector_splitting_step(factors, inc)
+        if core_rank is not None:
+            lowrank_mod._warm_splitting_step(factors, inc)
+        orthogonal_factorization(panel)
+        assert [x.tobytes() for x in arrays] == before
 
 
 class TestWarmUpCore:
