@@ -72,11 +72,11 @@ def record(trees: dict, runs: int, runner=run) -> dict:
     runs and median of each time over the runs that show it."""
     out: dict = {"args": ARGS, "runs": alternate(trees, runs, runner, parse)}
     for side in trees:
-        sides = [r[side] for r in out["runs"]]
-        times = {key: [s[key] for s in sides if s[key] is not None]
+        results = [r[side] for r in out["runs"]]
+        times = {key: [res[key] for res in results if res[key] is not None]
                  for key in ("total_s", *DURATIONS)}
-        clean = sum(s["total_s"] is not None and not s["failed"] and not s["error"]
-                    for s in sides)
+        clean = sum(res["total_s"] is not None and not res["failed"] and not res["error"]
+                    for res in results)
         out[side] = {"runs": runs, "clean_runs": clean,
                      **{f"median_{key}": statistics.median(v) if v else None
                         for key, v in times.items()}}
