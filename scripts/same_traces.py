@@ -17,13 +17,16 @@ Then every file of the two directories is compared, with what depends on
 the wall clock or the commit set aside: the wall_clock_s and
 time_to_best_s columns and the `# git:` line.  The script prints, per
 seed, the count of files compared and each file that differs or is
-missing on one side, and exits 1 on any difference.
+missing on one side, with, for a trace CSV on both sides, the largest
+relative change of each loss column over its rows; it exits 1 on any
+difference.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -39,6 +42,7 @@ SEED = 0
 CALLS_DIR = "calls"
 SET_ASIDE_COLUMNS = ("wall_clock_s", "time_to_best_s")
 SET_ASIDE_LINES = ("# git:",)
+LOSS_COLUMNS = ("train_loss", "test_loss")
 
 # The child process: argv is this repo's root, the tree's src, the output
 # directory, the directory for the calls' files, the seed and the cli.main
@@ -138,6 +142,37 @@ def compare(a: str, b: str) -> tuple[int, list[str]]:
     return len(fa | fb), sorted(differ)
 
 
+def _losses(path: str) -> list[list[float]] | None:
+    """Each row's LOSS_COLUMNS in a trace CSV, or None for another file."""
+    if not path.endswith(".csv") or not os.path.exists(path):
+        return None
+    with open(path, encoding="utf-8") as fh:
+        lines = [line for line in fh.read().splitlines() if not line.startswith("#")]
+    header = lines[0].split(",") if lines else []
+    if not set(LOSS_COLUMNS) <= set(header):
+        return None
+    at = [header.index(c) for c in LOSS_COLUMNS]
+    return [[float(line.split(",")[i]) for i in at] for line in lines[1:] if line]
+
+
+def _relative(old: float, new: float) -> float:
+    if old == new or (math.isnan(old) and math.isnan(new)):
+        return 0.0
+    return abs(new - old) / abs(old) if old else math.inf
+
+
+def describe(a: str, b: str, rel: str) -> str:
+    """The line printed for ``rel``, which differs between ``a`` and ``b``:
+    its path and, for a trace CSV on both sides, the largest relative change
+    of each loss column (infinite where the row counts differ)."""
+    old, new = _losses(os.path.join(a, rel)), _losses(os.path.join(b, rel))
+    if old is None or new is None:
+        return f"  {rel}"
+    worst = [max((_relative(o[i], n[i]) for o, n in zip(old, new)), default=0.0)
+             if len(old) == len(new) else math.inf for i in range(len(LOSS_COLUMNS))]
+    return f"  {rel}  " + ", ".join(f"{c} {x:.2g}" for c, x in zip(LOSS_COLUMNS, worst))
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("parent", help="source tree whose outputs are the reference")
@@ -152,9 +187,9 @@ def main(argv=None) -> int:
             for tree, out in zip((args.parent, args.change), outs):
                 write_outputs(tree, workload_argvs(seed), out, seed)
             count, differ = compare(*outs)
-        print(f"seed {seed}: {count} files compared, {len(differ)} differ")
-        for rel in differ:
-            print(f"  {rel}")
+            print(f"seed {seed}: {count} files compared, {len(differ)} differ")
+            for rel in differ:
+                print(describe(*outs, rel))
         failed = failed or bool(differ)
     return 1 if failed else 0
 

@@ -198,6 +198,8 @@ def parse_libsvm(source, name: str = "") -> Dataset:
     if not labels:
         raise DataError("empty LIBSVM input")
     x = np.zeros((len(labels), max(b.shape[1] for b in blocks)))
+    if not x.shape[1]:
+        raise DataError(f"dataset {name!r} has no feature tokens")
     for end, b in zip(np.cumsum([len(b) for b in blocks]), blocks):
         x[end - len(b):end, :b.shape[1]] = b
     classes, y = np.unique(labels, return_inverse=True)

@@ -2,20 +2,20 @@
 
 Two update schemes are provided: a first-order projector-splitting step
 (K-, core-, L-substeps) and a Brand-style truncated incremental SVD.  The
-former orthogonalizes its two n x r panels by CholeskyQR2 with a
-Householder fallback (a panel whose first round is already orthonormal to
-eps level skips the second, and a stack of such panels returns after that
-one test); while its factors have rank below r < n (from zero factors,
-steps 0 .. r-1, which the preconditioner selects by its step count), it
-factors each panel through its (r+1) x r core in the basis augmented by
-the increment's residual direction instead.  The latter writes the sum
-exactly on an (r+1) x (r+1) core and always leaves the same way: it
-drops the core's smallest singular triplet with one Householder reflector
-per side.  The triplet comes from one LU of the core by repeated
-squaring of (M^T M)^{-1}, from a full SVD of the core where that does
-not succeed, or is the last coordinate on a side whose residual direction
-is missing.  Both schemes operate on factored quantities only (no n x n
-array is ever formed) and keep the core a general r x r matrix.
+former orthogonalizes its two n x r panels by one round of Cholesky QR,
+kept where its q tests orthonormal to eps level, and by Householder QR
+where it does not; while its factors have rank below r < n (from zero
+factors, steps 0 .. r-1, which the preconditioner selects by its step
+count), it factors each panel through its (r+1) x r core in the basis
+augmented by the increment's residual direction instead.  The latter
+writes the sum exactly on an (r+1) x (r+1) core and always leaves the
+same way: it drops the core's smallest singular triplet with one
+Householder reflector per side.  The triplet comes from one LU of the
+core by repeated squaring of (M^T M)^{-1}, from a full SVD of the core
+where that does not succeed, or is the last coordinate on a side whose
+residual direction is missing.  Both schemes operate on factored
+quantities only (no n x n array is ever formed) and keep the core a
+general r x r matrix.
 
 A leading axis may stack K independent problems.  Stacked products are
 batched ``np.matmul`` calls, one BLAS call per slice, so a slice gets the
@@ -67,12 +67,12 @@ _RANK_ONE_TOL = 1e-14
 _SQUARINGS = (6, 9, 12)
 _RESIDUAL_TOL = 1e-13
 
-# CholeskyQR2: a panel whose first round leaves every entry of |q1^T q1 - I|
-# within this skips the second round.  The second round delivers about
-# 1e-15 (at most 1.1e-15 on the steady panels of a run at n 1024, rank 48),
-# so the panels kept are within a few times that, far inside the 1e-13 the
-# bases must keep; each step factors a newly formed panel, so nothing of it
-# carries over to the next step.
+# Cholesky QR keeps a panel's q only where every entry of |q^T q - I| is
+# within this; every other panel takes Householder QR, which delivers about
+# 1e-15.  The panels kept are within a few times that, far inside the 1e-13
+# the bases must keep; each step factors a newly formed panel, so nothing
+# of it carries over to the next step.  On the steady panels of a run at
+# n 1024, rank 48 every panel passes.
 _CERTIFIED_TOL = 4e-15
 
 
@@ -157,24 +157,32 @@ def zero_factors(dim: int, rank: int, lead: tuple = ()) -> LowRankFactors:
 def orthogonal_factorization(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Factor m = q @ r with orthonormal columns in q and diag(r) >= 0.
 
-    Fast path is CholeskyQR2: rounds of Gram matrix, Cholesky, and
-    triangular inverse, all GEMM-shaped, so the cost stays linear in n for
-    fixed r (LAPACK's Householder QR on tall panels is not).  The first
-    round's Gram matrix is checked: a panel it shows already orthonormal to
-    eps level stops there, and the others take a second round, which brings
-    them to that level.  Rank-deficient or badly conditioned panels fall
-    back to Householder QR, whose reflectors complete the basis
+    Fast path is one round of Cholesky QR: Gram matrix, Cholesky, and
+    triangular inverse, with the inverse applied by one GEMM, so the cost
+    stays linear in n for fixed r (LAPACK's Householder QR on tall panels
+    is not).  The round's q is then tested: a panel it leaves within
+    _CERTIFIED_TOL of orthonormal keeps q and r = L^T.  Any other panel
+    (rank-deficient, badly conditioned, not finite, or one whose Cholesky
+    fails) takes Householder QR, whose reflectors complete the basis
     deterministically (a zero matrix yields identity columns).  Callers
-    never see an error.  A stack of panels is factored slice by slice.
+    never see an error.  A stack of panels is factored slice by slice, so
+    a slice gets the bits and layout of its lone call.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim not in (2, 3) or m.shape[-2] < m.shape[-1]:
         raise ValueError(f"expected tall n x r matrices, got shape {m.shape}")
-    q, r, failed = _cholesky_qr2(m)
-    if q is None:  # every panel falls back; r is laid out as CholeskyQR2's is, so
-        # later products make the same BLAS calls whichever panels fell back
-        q, r = np.empty_like(m), _t(np.empty(m.shape[:-2] + 2 * m.shape[-1:]))
-    for k in failed:  # Householder QR, signs flipped to diag(r) >= 0
+    eye = _eye(m.shape[-1])
+    low, failed = _each(_dpotrf, _t(m) @ m, 1, 1, 1)  # lower, clean, in place
+    for k in failed:  # L = I, so q = m, kept only where m is orthonormal, as r = I
+        low[k] = eye
+    # Each L now has a positive diagonal, so its inverse exists.
+    inv, _ = _each(_dtrtri, low, 1, 0, 1)  # lower, not unit, in place
+    q, r = m @ _t(inv), _t(low.copy())
+    # The test also fails where q is not finite.
+    passed = np.abs(_t(q) @ q - eye).max(axis=(-2, -1)) <= _CERTIFIED_TOL
+    if passed.all():
+        return q, r
+    for k in map(tuple, np.argwhere(~passed)):  # Householder QR, diag(r) >= 0
         q[k], r[k] = np.linalg.qr(m[k])
         flip = np.diag(r[k]) < 0.0
         q[k][:, flip] *= -1.0
@@ -202,51 +210,6 @@ def _each(lapack, mats: np.ndarray, *flags) -> tuple[np.ndarray, list]:
             mat[...] = res
         failed += [(k,)[:out.ndim - 2]] if info else []
     return out, failed
-
-
-def _cholesky_qr2(m: np.ndarray):
-    """CholeskyQR2 of a panel or each panel of a stack: q, r and the panels
-    that need the Householder fallback, each listed once.  The r x r
-    triangular factors are inverted explicitly so every tall product is a
-    plain GEMM.  The first round's Gram matrix certifies its q: a panel
-    within _CERTIFIED_TOL of orthonormal keeps q1 and R1, and only the
-    others take the second round, which wipes out the first inversion's
-    inaccuracy.  Where every panel is certified (the steady case) it
-    returns after that one test.  Both Cholesky diagonals are positive, so
-    the returned r needs no sign fix; it is laid out as R1 R2 is for every
-    panel.
-    """
-    low1, failed = _each(_dpotrf, _t(m) @ m, 1, 1, 1)  # lower, clean, in place
-    if len(failed) == math.prod(m.shape[:-2]):
-        return None, None, failed
-    for k in failed:  # keep the discarded work on such a panel cheap and finite
-        low1[k] = _eye(m.shape[-1])
-    inv1, failed2 = _each(_dtrtri, low1, 1, 0, 1)  # lower, not unit, in place
-    q = m @ _t(inv1)
-    gram2 = _t(q) @ q
-    # Round one must land near orthonormal for round two to reach eps-level
-    # orthogonality; otherwise the panel is too ill-conditioned.  The
-    # comparison is also false for a non-finite gram2.
-    deviation = np.abs(gram2 - _eye(m.shape[-1])).max(axis=(-2, -1))
-    if not (failed or failed2) and deviation.max() <= _CERTIFIED_TOL:
-        return q, _t(low1.copy()), []  # r in the layout of the general path
-    fallback = np.zeros(m.shape[:-2], dtype=bool)
-    for k in failed + failed2:
-        fallback[k] = True
-    fallback |= ~(deviation <= 1e-3)
-    if fallback.all():
-        return None, None, list(map(tuple, np.argwhere(fallback)))
-    r = low1.copy()  # C order: _t(r) is laid out as _t(low1 @ low2)
-    redo = ~fallback & (deviation > _CERTIFIED_TOL)
-    if redo.any():  # each such panel makes the calls it would make alone
-        low2, failed3 = _each(_dpotrf, gram2[redo], 1, 1, 1)
-        inv2, failed4 = _each(_dtrtri, low2, 1, 0, 1)
-        q[redo] = q[redo] @ _t(inv2)
-        r[redo] = low1[redo] @ low2
-        panels = np.argwhere(redo)
-        for (j,) in failed3 + failed4:
-            fallback[tuple(panels[j])] = True
-    return q, _t(r), list(map(tuple, np.argwhere(fallback)))
 
 
 def _check_increment(factors: LowRankFactors, inc: RankOneIncrement) -> None:
@@ -279,7 +242,7 @@ def projector_splitting_step(factors: LowRankFactors,
 def _warm_splitting_step(factors: LowRankFactors, inc: RankOneIncrement) -> LowRankFactors:
     """:func:`projector_splitting_step` for factors of rank below r < n, as
     from zero factors before step r.  Its panels have rank below r, so
-    CholeskyQR2 would fail on them; each is factored through its
+    Cholesky QR would fail on them; each is factored through its
     (r+1) x r core instead (:func:`_factor_augmented`)."""
     return _splitting_step(factors, inc, _factor_augmented)
 
@@ -319,7 +282,7 @@ def _factor_augmented(basis, core, vec, row):
     rho row^T], so with C = Q R it is q = basis Q[:r] + w Q[r] and r = R:
     :func:`orthogonal_factorization` of C, one n x r x r product and a
     rank-1 update.  [basis | w] is orthonormal, so C has the panel's
-    singular values: where the panel's rank is below r, CholeskyQR2 fails
+    singular values: where the panel's rank is below r, Cholesky QR fails
     on C as on the panel, and the fallback QR is of the small core.
     Where rho = 0, C's last row is zero and so is Q's (C R^-1 keeps it
     zero, and so does each Householder reflector), so w, then not a unit

@@ -108,7 +108,9 @@ class IntegratorState:
                  variant: IntegratorVariant = IntegratorVariant.PROJECTOR_SPLITTING,
                  mu=None):
         self.eps = _check_eps_dim(dim, eps)
-        mus = list(mu) if self.eps.ndim else [mu]
+        mus = [mu] * self.eps.size if np.ndim(mu) == 0 else list(mu)  # None: ndim 0
+        if len(mus) != self.eps.size:
+            raise ValueError(f"{len(mus)} mu values for {self.eps.size} eps values")
         if any(x is not None and not 0.0 <= x <= 1.0 for x in mus):
             raise ValueError(f"mu must lie in [0, 1], got {mu}")
         # History and increment weights: (mu, 1 - mu), or (1, 1) without mu.

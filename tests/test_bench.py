@@ -698,6 +698,14 @@ class TestCli:
         code = cli_main(["--dataset", "/no/such/file", "--optimizer", "sgd"])
         assert code == 2
 
+    @pytest.mark.parametrize("bias", [[], ["--no-bias"]])
+    def test_libsvm_without_feature_tokens_is_data_error(self, bias, tmp_path, capsys):
+        path = tmp_path / "labels.svm"
+        path.write_text("1\n0\n" * 10)
+        code = cli_main(["--dataset", str(path), "--optimizer", "sgd", "--epochs", "1", *bias])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: dataset {str(path)!r} has no feature tokens\n"
+
     @pytest.mark.parametrize("rho", ["nan", "inf"])
     def test_non_finite_rho_is_config_error(self, rho, capsys):
         code = cli_main(["--dataset", "synthetic:dense", "--optimizer", "sgd",

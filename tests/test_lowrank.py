@@ -126,8 +126,8 @@ class TestEachMatrix:
 
 
 class TestCertifiedRound:
-    """CholeskyQR2 keeps the first round of a panel its Gram matrix shows
-    orthonormal, and runs the second on the others only."""
+    """One round of Cholesky QR keeps the q of a panel it leaves orthonormal;
+    every other panel takes Householder QR."""
 
     @staticmethod
     def count(monkeypatch):
@@ -143,34 +143,44 @@ class TestCertifiedRound:
         return calls
 
     @staticmethod
+    def count_qr(monkeypatch):
+        """The shapes of the Householder QRs made."""
+        qrs, real = [], np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda a: qrs.append(a.shape) or real(a))
+        return qrs
+
+    @staticmethod
     def panel(rng, cond, n=200, r=6):
         """An n x r panel with singular values from 1 down to 1 / cond."""
         return (random_orthonormal(rng, n, r) * np.logspace(0, -np.log10(cond), r)
                 @ random_orthonormal(rng, r, r))
 
     @staticmethod
-    def first_round(m):
-        """q1, R1 and the largest entry of |q1^T q1 - I| of a lone panel."""
-        low1, _ = lowrank_mod._each(lowrank_mod._dpotrf, m.T @ m, 1, 1, 1)
-        inv1, _ = lowrank_mod._each(lowrank_mod._dtrtri, low1, 1, 0, 1)
-        q1 = m @ inv1.T
-        return q1, low1.T, np.abs(q1.T @ q1 - np.eye(m.shape[1])).max()
+    def one_round(m):
+        """q, L^T and the largest entry of |q^T q - I| of a lone panel."""
+        low, _ = lowrank_mod._each(lowrank_mod._dpotrf, m.T @ m, 1, 1, 1)
+        inv, _ = lowrank_mod._each(lowrank_mod._dtrtri, low, 1, 0, 1)
+        q = m @ inv.T
+        return q, low.T, np.abs(q.T @ q - np.eye(m.shape[1])).max()
 
-    def test_well_conditioned_panel_keeps_the_first_round(self, monkeypatch):
+    def test_well_conditioned_panel_keeps_the_round(self, monkeypatch):
         m = self.panel(np.random.default_rng(50), 2.0)
-        q1, r1, deviation = self.first_round(m)
+        q1, r1, deviation = self.one_round(m)
         assert deviation <= lowrank_mod._CERTIFIED_TOL
-        calls = self.count(monkeypatch)
+        calls, qrs = self.count(monkeypatch), self.count_qr(monkeypatch)
         q, r = orthogonal_factorization(m)
-        assert calls == {"_dpotrf": 1, "_dtrtri": 1}
+        assert calls == {"_dpotrf": 1, "_dtrtri": 1} and qrs == []
         assert q.tobytes() == q1.tobytes() and np.array_equal(r, r1)
+        # r is Fortran-ordered, as it was under CholeskyQR2: the products
+        # that take it make other BLAS calls, with other bits, on a C copy.
+        assert r.flags.f_contiguous and not r.flags.c_contiguous
 
-    def test_ill_conditioned_panel_takes_the_second_round(self, monkeypatch):
+    def test_ill_conditioned_panel_takes_householder_qr(self, monkeypatch):
         m = self.panel(np.random.default_rng(51), 1e5)
-        assert lowrank_mod._CERTIFIED_TOL < self.first_round(m)[2] <= 1e-3
-        calls = self.count(monkeypatch)
+        assert self.one_round(m)[2] > lowrank_mod._CERTIFIED_TOL
+        calls, qrs = self.count(monkeypatch), self.count_qr(monkeypatch)
         q, r = orthogonal_factorization(m)
-        assert calls == {"_dpotrf": 2, "_dtrtri": 2}
+        assert calls == {"_dpotrf": 1, "_dtrtri": 1} and qrs == [m.shape]
         assert np.abs(q.T @ q - np.eye(m.shape[1])).max() <= 1e-13
         assert np.abs(q @ r - m).max() <= 1e-14
         assert (np.diag(r) > 0.0).all() and np.array_equal(np.triu(r), r)
@@ -186,34 +196,31 @@ class TestCertifiedRound:
             assert q.tobytes() == qs[k].tobytes() and r.tobytes() == rs[k].tobytes()
             assert r.strides == rs.strides[1:] and q.strides == qs.strides[1:]
 
-    def test_a_certified_panel_alone_as_in_either_stack(self, monkeypatch):
-        # A certified panel gets the q and r bits of its lone call in a
-        # stack of certified panels, which returns after the one test (no
-        # fallback mask is built), and in a stack whose other panel takes
-        # the second round and so the general path.
+    def test_a_certified_panel_alone_as_beside_any_neighbour(self, monkeypatch):
+        # A certified panel gets the q and r bits and strides of its lone
+        # call beside a certified panel and beside an ill-conditioned or a
+        # NaN one, each of which takes Householder QR; each stack makes one
+        # dpotrf and one dtrtri a slice.
         rng = np.random.default_rng(55)
         good, other, bad = self.panel(rng, 2.0), self.panel(rng, 3.0), self.panel(rng, 1e5)
+        nan = np.full_like(good, np.nan)
         q, r = orthogonal_factorization(good)
-        calls, argwhere, real = self.count(monkeypatch), [], np.argwhere
-        monkeypatch.setattr(np, "argwhere", lambda a: argwhere.append(a.shape) or real(a))
-        for stack, lapack, general in (((other, good), 2, False), ((bad, good), 3, True)):
+        calls, qrs = self.count(monkeypatch), self.count_qr(monkeypatch)
+        for neighbour, householder in ((other, []), (bad, [bad.shape]), (nan, [nan.shape])):
             calls.update(_dpotrf=0, _dtrtri=0)
-            argwhere.clear()
-            qs, rs = orthogonal_factorization(np.stack(stack))
-            assert calls == {"_dpotrf": lapack, "_dtrtri": lapack}
-            assert bool(argwhere) == general
+            qrs.clear()
+            qs, rs = orthogonal_factorization(np.stack([neighbour, good]))
+            assert calls == {"_dpotrf": 2, "_dtrtri": 2} and qrs == householder
             assert q.tobytes() == qs[1].tobytes() and r.tobytes() == rs[1].tobytes()
             assert r.strides == rs.strides[1:] and q.strides == qs.strides[1:]
 
     def test_a_failed_panel_is_listed_once(self, monkeypatch):
-        # A rank-deficient panel fails the first Cholesky and is not listed
-        # again by the 1e-3 test: one Householder QR, the bits unchanged.
+        # A rank-deficient panel fails its Cholesky and is not listed again
+        # by the orthonormality test: one Householder QR, the bits unchanged.
         rng = np.random.default_rng(53)
         col = rng.standard_normal((30, 1))
         stack = np.stack([self.panel(rng, 2.0, n=30, r=3), np.hstack([col, 2 * col, -col])])
-        assert lowrank_mod._cholesky_qr2(stack)[2] == [(1,)]
-        qrs, real = [], np.linalg.qr
-        monkeypatch.setattr(np.linalg, "qr", lambda a: qrs.append(a.shape) or real(a))
+        real, qrs = np.linalg.qr, self.count_qr(monkeypatch)
         q, r = orthogonal_factorization(stack)
         assert qrs == [(30, 3)]
         q1, r1 = real(stack[1])
@@ -290,14 +297,14 @@ class TestWarmUpCore:
         assert np.abs(q[0] @ r[0] - c).max() <= 1e-14 * np.abs(c).max()
         assert (np.diagonal(r, 0, 1, 2) >= 0.0).all() and np.array_equal(np.triu(r), r)
 
-    def test_zero_last_row_stays_zero_through_cholesky_qr2(self):
-        # A full-rank core with a zero last row takes CholeskyQR2: C R^-1
-        # keeps the row exactly zero.
+    def test_zero_last_row_stays_zero_through_cholesky_qr(self, monkeypatch):
+        # A well-conditioned core with a zero last row keeps its Cholesky
+        # QR, no Householder QR: C R^-1 keeps the row exactly zero.
         c = np.zeros((6, 5))
-        c[:5] = np.random.default_rng(44).standard_normal((5, 5))
-        assert lowrank_mod._cholesky_qr2(c)[2] == []
+        c[:5] = random_orthonormal(np.random.default_rng(44), 5, 5) * np.linspace(1.0, 2.0, 5)
+        qrs = TestCertifiedRound.count_qr(monkeypatch)
         q, r = orthogonal_factorization(c)
-        assert not q[5].any()
+        assert qrs == [] and not q[5].any()
         assert_orthonormal(q, tol=1e-14)
 
     def test_warm_step_factors_both_cores_by_the_public_entry(self, monkeypatch):

@@ -314,6 +314,19 @@ class TestUpdateIntegrator:
         with pytest.raises(ValueError):
             ExactPQState(0, eps=1.0)
 
+    @pytest.mark.parametrize("mu", [None, 0.9])
+    def test_scalar_mu_applies_to_every_cell(self, mu):
+        state = IntegratorState(6, eps=[0.5, 2.0, 1.0], rank=2, mu=mu)
+        hist = 1.0 if mu is None else mu
+        assert state.hist.tolist() == [hist] * 3
+        assert state.inc.tolist() == [1.0 if mu is None else 1.0 - mu] * 3
+
+    @pytest.mark.parametrize("eps, mu, counts", [([0.5, 2.0, 1.0], [0.9, None], "2 mu values for 3"),
+                                                 (1.0, [0.9, 0.5], "2 mu values for 1")])
+    def test_mu_sequence_needs_one_entry_per_eps(self, eps, mu, counts):
+        with pytest.raises(ValueError, match=f"^{counts} eps values$"):
+            IntegratorState(6, eps=eps, rank=2, mu=mu)
+
 
 def max_drift(factors):
     """Largest entry of U^T U - I and V^T V - I, over a stack's slices too."""
@@ -339,15 +352,15 @@ class TestWarmUp:
         rng = np.random.default_rng(30)
         state = IntegratorState(n, eps=eps, rank=r, mu=mu)
         qr = self.count(monkeypatch, np.linalg, "qr")
-        cholesky_qr2 = self.count(monkeypatch, lowrank, "_cholesky_qr2")
+        factored = self.count(monkeypatch, lowrank, "orthogonal_factorization")
         shape = np.shape(eps) + (n,)
         tall = lambda calls: [c for c in calls if c[-2] == n]  # n x r panels
         for _ in range(r):
             update_integrator(state, apply_inverse(state, rng.standard_normal(shape)))
-        assert (tall(qr), tall(cholesky_qr2)) == ([], [])
-        del cholesky_qr2[:]
+        assert (tall(qr), tall(factored)) == ([], [])
+        del factored[:]
         update_integrator(state, apply_inverse(state, rng.standard_normal(shape)))
-        assert len(tall(cholesky_qr2)) == 2  # step r: the K and L panels, formed
+        assert len(tall(factored)) == 2  # step r: the K and L panels, formed
 
     @pytest.mark.parametrize("n", [64, 1024])
     @pytest.mark.parametrize("r", [5, 48])

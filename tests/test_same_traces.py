@@ -48,6 +48,14 @@ def test_repo_against_itself(tmp_path):
     edit_column(b / "run.csv", "train_loss", "0.25")
     (b / "calls" / "02.txt").write_text("exit: 0\n")
     assert same_traces.compare(str(a), str(b)) == (6, ["calls/02.txt", "run.csv"])
+    # The printed lines: the largest relative change of each loss column
+    # for the trace CSV, the path alone for another file.
+    losses = same_traces._losses(str(a / "run.csv"))
+    train = max(abs(0.25 - x) / x for x, _ in losses)
+    assert len(losses) == 2 and train > 0.0
+    assert same_traces.describe(str(a), str(b), "run.csv") == (
+        f"  run.csv  train_loss {train:.2g}, test_loss 0")
+    assert same_traces.describe(str(a), str(b), "calls/02.txt") == "  calls/02.txt"
 
 
 def test_single_run_calls(tmp_path):
