@@ -80,7 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _build_config(args) -> ExperimentConfig:
+def _build_config(args) -> tuple[ExperimentConfig, str | None]:
+    """The config and the output path; a flag wins over the config file."""
     given = parse_keyvalue_file(args.config) if args.config else {}
     unknown = set(given) - set(_CONFIG_KEYS)
     if unknown:
@@ -96,7 +97,7 @@ def _build_config(args) -> ExperimentConfig:
               if name in given}
     if "seed" in values:
         values["opt_seed"] = values["seed"]
-    return make_config(values, output_path=given.get("out"))
+    return make_config(values), given.get("out")
 
 
 def _load_grid(path: str) -> dict:
@@ -113,9 +114,18 @@ def _load_grid(path: str) -> dict:
     return space
 
 
-def _run_single(cfg: ExperimentConfig) -> int:
+def _run_single(cfg: ExperimentConfig, out: str | None) -> int:
+    """Train one run; an ``out`` that cannot be written is refused before
+    the first step."""
+    if out:  # opened as the save opens it, and no file left where there was none
+        existed = os.path.lexists(out)
+        open(out, "a", encoding="ascii").close()
+        if not existed:
+            os.remove(out)
     record = run_experiment(cfg)
-    if not cfg.output_path:
+    if out:
+        record.save(out)
+    else:
         sys.stdout.write(record.to_csv())
     if record.diverged:
         print(f"run {config_hash(cfg)} diverged after {len(record.rows)} epochs",
@@ -151,14 +161,16 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.verify:
         report = run_invariant_suite()
+        for r in report.results:
+            print(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}")
         return EXIT_OK if report.all_passed else EXIT_INVARIANT
     try:
         if args.workers < 1:  # refused on a single run too, where it is unused
             raise ConfigError(f"workers must be >= 1, got {args.workers}")
-        cfg = _build_config(args)
+        cfg, out = _build_config(args)
         if args.grid:
-            return _run_grid(cfg, args.grid, args.out, args.workers)
-        return _run_single(cfg)
+            return _run_grid(cfg, args.grid, out, args.workers)
+        return _run_single(cfg, out)
     except (ConfigError, DataError, PreconditionerBudgetError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

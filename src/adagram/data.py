@@ -51,21 +51,9 @@ class CorrelationSpec:
         if self.rho is not None and not math.isfinite(self.rho):
             raise DataError(f"rho must be finite, got {self.rho}")
 
-    def matrix(self) -> np.ndarray:
-        n = self.n_features
-        if self.kind is CorrelationKind.ISOTROPIC:
-            return np.eye(n)
-        if self.kind is CorrelationKind.TRIDIAGONAL:
-            m = np.eye(n)
-            off = np.full(n - 1, self.rho)
-            m += np.diag(off, 1) + np.diag(off, -1)
-            return m
-        idx = np.arange(n)
-        return self.rho ** np.abs(idx[:, None] - idx[None, :])
-
     def min_eigenvalue(self) -> tuple[float, bool]:
-        """The smallest eigenvalue of matrix() in closed form, and whether
-        it is only a lower bound.
+        """The smallest eigenvalue of the correlation matrix in closed form,
+        and whether it is only a lower bound.
 
         Tridiagonal: 1 - 2|rho| cos(pi/(n+1)), exact.  Dense (the AR(1) or
         Kac-Murdock-Szego matrix): its eigenvalues (1-rho^2)/(1 - 2 rho cos t
@@ -79,9 +67,9 @@ class CorrelationSpec:
         return ((1.0 - r) / (1.0 + r) if r < 1.0 else 0.0), True
 
     def color(self, z: np.ndarray) -> np.ndarray:
-        """Overwrite z with z @ cholesky(matrix()).T, for a positive definite
-        matrix(), in O(z.size) and without a second array of z's size.
-        Returns z."""
+        """Overwrite z with z @ cholesky(C).T, for C the correlation matrix
+        and positive definite, in O(z.size) and without a second array of
+        z's size.  Returns z."""
         n, rho = self.n_features, self.rho
         if self.kind is CorrelationKind.ISOTROPIC or n == 1:
             return z
@@ -256,35 +244,9 @@ def _raise_first_error(block, first: int):
     raise DataError(f"line {top_line}: feature index {top} is too large")
 
 
-def serialize_libsvm(ds: Dataset) -> str:
-    """Inverse of :func:`parse_libsvm` (sparse text, zeros omitted).
-
-    If the last feature column is entirely zero an explicit "n:0" entry is
-    emitted on the first line so the feature count survives a round trip.
-    """
-    lines = []
-    max_emitted = 0
-    for i in range(ds.n_samples):
-        parts = [str(int(ds.y[i]))]
-        for j in range(ds.n_features):
-            v = float(ds.x[i, j])
-            if v != 0.0:
-                parts.append(f"{j + 1}:{v!r}")
-                max_emitted = max(max_emitted, j + 1)
-        lines.append(" ".join(parts))
-    if max_emitted < ds.n_features and lines:
-        lines[0] += f" {ds.n_features}:0.0"
-    return "\n".join(lines) + "\n"
-
-
 def load_libsvm(path: str) -> Dataset:
     with open(path, "r", encoding="ascii") as fh:
         return parse_libsvm(fh, name=path)
-
-
-def save_libsvm(ds: Dataset, path: str) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(serialize_libsvm(ds))
 
 
 def _shuffled_rows(ds: Dataset, test_fraction: float, seed: int,
@@ -292,8 +254,6 @@ def _shuffled_rows(ds: Dataset, test_fraction: float, seed: int,
     """The rows of ``ds`` as the seeded shuffle orders them, test rows
     first, copied a few rows at a time into one new array with a last column
     of ones if ``bias``; their labels; and the test size."""
-    if not 0.0 < test_fraction < 1.0:
-        raise DataError(f"test_fraction must lie in (0, 1), got {test_fraction}")
     perm = np.random.default_rng(seed).permutation(ds.n_samples)
     n_test = math.floor(ds.n_samples * test_fraction)
     if n_test < 1 or ds.n_samples - n_test < 1:

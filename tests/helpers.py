@@ -1,12 +1,13 @@
-"""Dense oracles shared by the test modules.
+"""Dense oracles and LIBSVM writers shared by the test modules.
 
-Everything here deliberately takes the slow route (materialized matrices,
-direct inversion, eigendecompositions) so it stays independent of the
+The oracles deliberately take the slow route (materialized matrices,
+direct inversion, eigendecompositions) so they stay independent of the
 factored code paths under test.
 """
 
 import numpy as np
 
+from adagram.data import CorrelationKind, CorrelationSpec, Dataset
 from adagram.lowrank import LowRankFactors, RankOneIncrement, rank_one_svd_combine
 from adagram.precond import apply_inverse
 
@@ -92,3 +93,43 @@ def best_rank_r(mat: np.ndarray, r: int) -> np.ndarray:
     """SVD-truncated best rank-r approximation."""
     u, s, vt = np.linalg.svd(mat)
     return u[:, :r] @ np.diag(s[:r]) @ vt[:r, :]
+
+
+def correlation_matrix(spec: CorrelationSpec) -> np.ndarray:
+    """The dense correlation matrix that ``spec.color`` factors in place."""
+    n = spec.n_features
+    if spec.kind is CorrelationKind.ISOTROPIC:
+        return np.eye(n)
+    if spec.kind is CorrelationKind.TRIDIAGONAL:
+        m = np.eye(n)
+        off = np.full(n - 1, spec.rho)
+        m += np.diag(off, 1) + np.diag(off, -1)
+        return m
+    idx = np.arange(n)
+    return spec.rho ** np.abs(idx[:, None] - idx[None, :])
+
+
+def serialize_libsvm(ds: Dataset) -> str:
+    """Inverse of :func:`adagram.data.parse_libsvm` (sparse text, zeros omitted).
+
+    If the last feature column is entirely zero an explicit "n:0" entry is
+    emitted on the first line so the feature count survives a round trip.
+    """
+    lines = []
+    max_emitted = 0
+    for i in range(ds.n_samples):
+        parts = [str(int(ds.y[i]))]
+        for j in range(ds.n_features):
+            v = float(ds.x[i, j])
+            if v != 0.0:
+                parts.append(f"{j + 1}:{v!r}")
+                max_emitted = max(max_emitted, j + 1)
+        lines.append(" ".join(parts))
+    if max_emitted < ds.n_features and lines:
+        lines[0] += f" {ds.n_features}:0.0"
+    return "\n".join(lines) + "\n"
+
+
+def save_libsvm(ds: Dataset, path: str) -> None:
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(serialize_libsvm(ds))

@@ -35,7 +35,6 @@ from adagram.data import (
     CorrelationSpec,
     SyntheticSpec,
     generate_synthetic,
-    save_libsvm,
 )
 from adagram.optim import (
     OptimizerConfig,
@@ -48,7 +47,7 @@ from adagram.optim import (
 )
 from adagram.precond import ExactPQState, alpha_of, apply_inverse, beta_of, update_exact
 
-from helpers import materialize_inverse
+from helpers import materialize_inverse, save_libsvm
 
 
 def _report(num, name, passed, detail=""):

@@ -34,10 +34,10 @@ from adagram.data import (
     SyntheticSpec,
     _shuffled_rows,
     generate_synthetic,
-    save_libsvm,
 )
 from adagram.optim import OptimizerConfig, OptimizerKind
 from adagram.precond import PreconditionerBudgetError
+from helpers import save_libsvm
 
 
 def make_cfg(kind=OptimizerKind.SGD, lr=0.1, epochs=3, dataset="synthetic:isotropic",
@@ -130,8 +130,9 @@ class TestRunExperiment:
 
     def test_csv_round_trip(self, tmp_path):
         path = tmp_path / "run.csv"
-        cfg = make_cfg(epochs=2, output_path=str(path))
+        cfg = make_cfg(epochs=2)
         record = run_experiment(cfg)
+        record.save(str(path))
         loaded = RunRecord.load(str(path))
         assert loaded.metadata["config_hash"] == config_hash(cfg)
         assert not loaded.diverged
@@ -210,8 +211,8 @@ class TestPreparedData:
         with pytest.raises(DataError, match="split leaves an empty side"):
             bench_mod._prepare(cfg)
         ds = resolve_dataset(cfg)
-        for fraction in (0.0, 1.0):
-            with pytest.raises(DataError, match=r"test_fraction must lie in \(0, 1\)"):
+        for fraction in (0.0, 1.0, -0.5, 1.5):
+            with pytest.raises(DataError, match="split leaves an empty side"):
                 _shuffled_rows(ds, fraction, seed=0)
 
     def test_train_block_standardized(self):
@@ -628,14 +629,11 @@ class TestGridSearch:
 
 
 class TestInvariantSuite:
-    def test_fresh_checkout_passes(self, capsys):
-        report = run_invariant_suite()
-        assert report.all_passed
-        out = capsys.readouterr().out
-        assert out.count("PASS") == len(report.results)
+    def test_fresh_checkout_passes(self):
+        assert run_invariant_suite().all_passed
 
     def test_checks_in_order(self):
-        names = [r.name for r in run_invariant_suite(quiet=True).results]
+        names = [r.name for r in run_invariant_suite().results]
         assert names == ["isometry", "rescaled_direction", "splitting_exactness",
                          "gradient_check", "truncation_optimality"]
 
@@ -643,7 +641,7 @@ class TestInvariantSuite:
         # A NaN beta makes the next update raise; the checks of each scan
         # that raises fail with the exception, and the others still run.
         monkeypatch.setattr(precond_mod, "beta_of", lambda a, s: np.nan * s)
-        report = run_invariant_suite(quiet=True)
+        report = run_invariant_suite()
         failed = {r.name: r.detail for r in report.results if not r.passed}
         assert {"isometry", "rescaled_direction", "splitting_exactness"} <= set(failed)
         assert failed["isometry"].startswith("ValueError: squared norm must be finite")
@@ -653,7 +651,7 @@ class TestInvariantSuite:
         # Injecting beta <- 2*beta must break the isometry invariant.
         real_beta = precond_mod.beta_of
         monkeypatch.setattr(precond_mod, "beta_of", lambda a, s: 2.0 * real_beta(a, s))
-        report = run_invariant_suite(quiet=True)
+        report = run_invariant_suite()
         failed = {r.name for r in report.results if not r.passed}
         assert "isometry" in failed
 
@@ -661,14 +659,14 @@ class TestInvariantSuite:
         # A NaN gradient gives NaN errors, which must not read as 0.
         real_gradient = bench_mod.glm.gradient
         monkeypatch.setattr(bench_mod.glm, "gradient", lambda m, b: np.nan * real_gradient(m, b))
-        report = run_invariant_suite(quiet=True)
+        report = run_invariant_suite()
         assert {r.name for r in report.results if not r.passed} == {"gradient_check"}
 
     def test_runtime_budget(self):
         import time
 
         t0 = time.perf_counter()
-        run_invariant_suite(quiet=True)
+        run_invariant_suite()
         assert time.perf_counter() - t0 <= 120.0
 
 
@@ -799,7 +797,8 @@ class TestCli:
 
     def test_verify_passes(self, capsys):
         assert cli_main(["--verify"]) == 0
-        assert "PASS" in capsys.readouterr().out
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 5 and all(line.startswith("PASS ") for line in lines)
 
     def test_verify_failure_exit_code(self, monkeypatch, capsys):
         real_beta = precond_mod.beta_of
@@ -866,6 +865,20 @@ class TestCli:
                          "--out", str(out)])
         assert code == 0
         assert len(RunRecord.load(str(out)).rows) == 1
+
+    def test_config_file_out_names_the_grid_directory(self, tmp_path):
+        out_dir = tmp_path / "results"
+        (tmp_path / "exp.cfg").write_text(
+            "dataset = synthetic:isotropic\noptimizer = sgd\nepochs = 1\n"
+            f"n_samples = 120\nn_features = 5\nout = {out_dir}\n"
+        )
+        (tmp_path / "grid.cfg").write_text("lr = 0.05, 0.2\n")
+        code = cli_main(["--config", str(tmp_path / "exp.cfg"),
+                         "--grid", str(tmp_path / "grid.cfg")])
+        assert code == 0
+        files = sorted(os.listdir(out_dir))
+        assert len(files) == 3 and files[-1] == "summary.tsv"
+        assert all(f.endswith(".csv") for f in files[:-1])
 
     def test_bad_grid_key_rejected(self, tmp_path):
         grid_file = tmp_path / "grid.cfg"

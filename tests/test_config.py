@@ -70,7 +70,7 @@ def test_table_names_every_setting_once():
     assert len({f.key for f in FIELDS}) == len(FIELDS)
     assert {f.attr for f in FIELDS if f.optimizer} == names(OptimizerConfig)
     assert {f.attr for f in FIELDS if not f.optimizer} == (
-        names(ExperimentConfig) - {"optimizer", "output_path"})
+        names(ExperimentConfig) - {"optimizer"})
 
 
 SMALL_RUN = ["--epochs", "1", "--n-samples", "60", "--n-features", "3"]

@@ -16,25 +16,25 @@ from adagram.data import (
     generate_synthetic,
     load_libsvm,
     parse_libsvm,
-    serialize_libsvm,
 )
 from adagram.glm import sigmoid
+from helpers import correlation_matrix, serialize_libsvm
 
 
 class TestCorrelationSpec:
     def test_isotropic_matrix(self):
         np.testing.assert_array_equal(
-            CorrelationSpec(CorrelationKind.ISOTROPIC, 4).matrix(), np.eye(4)
+            correlation_matrix(CorrelationSpec(CorrelationKind.ISOTROPIC, 4)), np.eye(4)
         )
 
     def test_tridiagonal_matrix(self):
-        m = CorrelationSpec(CorrelationKind.TRIDIAGONAL, 3, rho=0.4).matrix()
+        m = correlation_matrix(CorrelationSpec(CorrelationKind.TRIDIAGONAL, 3, rho=0.4))
         np.testing.assert_allclose(
             m, [[1, 0.4, 0], [0.4, 1, 0.4], [0, 0.4, 1]]
         )
 
     def test_dense_toeplitz_entry(self):
-        m = CorrelationSpec(CorrelationKind.DENSE, 5, rho=0.95).matrix()
+        m = correlation_matrix(CorrelationSpec(CorrelationKind.DENSE, 5, rho=0.95))
         assert m[0, 4] == pytest.approx(0.95**4)
         np.testing.assert_array_equal(np.diag(m), np.ones(5))
         np.testing.assert_allclose(m, m.T)
@@ -57,14 +57,14 @@ class TestGenerateSynthetic:
                              n_samples=10000, seed=1)
         ds = generate_synthetic(spec)
         corr = np.corrcoef(ds.x, rowvar=False)
-        assert np.abs(corr - spec.corr.matrix()).max() <= 0.05
+        assert np.abs(corr - correlation_matrix(spec.corr)).max() <= 0.05
 
     def test_dense_empirical_correlation(self):
         spec = SyntheticSpec(CorrelationSpec(CorrelationKind.DENSE, 5, rho=0.95),
                              n_samples=10000, seed=2)
         ds = generate_synthetic(spec)
         corr = np.corrcoef(ds.x, rowvar=False)
-        assert np.abs(corr - spec.corr.matrix()).max() <= 0.05
+        assert np.abs(corr - correlation_matrix(spec.corr)).max() <= 0.05
 
     def test_non_pd_correlation_rejected(self):
         spec = SyntheticSpec(CorrelationSpec(CorrelationKind.TRIDIAGONAL, 50, rho=0.6),
@@ -102,7 +102,7 @@ class TestGenerateSynthetic:
 
 
 def eigvalsh_min(spec):
-    return float(np.linalg.eigvalsh(spec.matrix()).min())
+    return float(np.linalg.eigvalsh(correlation_matrix(spec)).min())
 
 
 class TestClosedForms:
@@ -119,7 +119,7 @@ class TestClosedForms:
             if eigvalsh_min(spec) <= 1e-8:
                 continue  # no Cholesky factor for this kind and rho
             z = rng.standard_normal((40, n))
-            want = z @ np.linalg.cholesky(spec.matrix()).T
+            want = z @ np.linalg.cholesky(correlation_matrix(spec)).T
             got = spec.color(z)
             assert got is z  # colored in place
             assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
@@ -165,7 +165,7 @@ class TestClosedForms:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_wide_draw_matches_dense_oracle(self, seed):
-        # The same rng draws in the same order as z @ cholesky(matrix()).T.
+        # The same rng draws in the same order as z @ cholesky(C).T, C dense.
         spec = SyntheticSpec(CorrelationSpec(CorrelationKind.DENSE, 1023),
                              n_samples=400, seed=seed)
         ds = generate_synthetic(spec)
@@ -173,7 +173,7 @@ class TestClosedForms:
         theta = rng.standard_normal(1023)
         theta *= 3.0 / np.linalg.norm(theta)
         z = rng.standard_normal((400, 1023))
-        x = z @ np.linalg.cholesky(spec.corr.matrix()).T
+        x = z @ np.linalg.cholesky(correlation_matrix(spec.corr)).T
         y = (rng.random(400) < sigmoid(x @ theta)).astype(int)
         assert np.linalg.norm(ds.x - x) <= 1e-13 * np.linalg.norm(x)
         assert np.array_equal(ds.y, y)
