@@ -14,7 +14,6 @@ import concurrent.futures
 import csv
 import functools
 import hashlib
-import io
 import itertools
 import math
 import os
@@ -215,18 +214,13 @@ class RunRecord:
         return best.wall_clock_s
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        for k, v in self.metadata.items():
-            out.write(f"# {k}: {v}\n")
-        out.write(f"# diverged: {str(self.diverged).lower()}\n")
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for r in self.rows:
-            writer.writerow(
-                [r.epoch, repr(r.wall_clock_s), repr(r.train_loss),
-                 repr(r.test_loss), repr(r.test_acc)]
-            )
-        return out.getvalue()
+        """The trace as text: no field needs CSV quoting (words, ints and
+        float reprs), so rows are joined with commas directly."""
+        lines = [f"# {k}: {v}" for k, v in self.metadata.items()]
+        lines += [f"# diverged: {str(self.diverged).lower()}", ",".join(CSV_COLUMNS)]
+        lines += [f"{r.epoch},{r.wall_clock_s!r},{r.train_loss!r},{r.test_loss!r},{r.test_acc!r}"
+                  for r in self.rows]
+        return "\n".join(lines) + "\n"
 
     def save(self, path: str) -> None:
         with open(path, "w", encoding="ascii") as fh:
@@ -380,19 +374,23 @@ def run_stack(cfgs: list[ExperimentConfig], data) -> list[RunRecord]:
     params, stack, wall = ParamState(weights), list(records), np.zeros(len(cfgs))
     for epoch in range(1, first.epochs + 1):
         perm = shuffle_rng.permutation(n_train)
+        spent = 0.0  # each cell's share of the steps since wall was last updated
         for start in range(0, n_train, first.batch_size):
             batch = train.rows(perm[start:start + first.batch_size])
             t0 = time.perf_counter()
             params = optimizer.step(params, glm.gradient(model, batch))
-            wall += (time.perf_counter() - t0) / len(stack)
+            spent += (time.perf_counter() - t0) / len(stack)
             ok = np.isfinite(params.weights)
             if not ok.all():
+                wall, spent = wall + spent, 0.0
                 params, wall, stack = _keep(ok.all(axis=(1, 2)), params, wall, stack, optimizer)
                 if not stack:
                     return records
             model.theta = params.weights  # found finite just above
-        train_loss, test_loss = glm.loss(model, train), glm.loss(model, test)
-        test_acc = glm.accuracy(model, x_test, y_test)
+        wall += spent
+        z_test = glm._logits(model, x_test)  # one product for the test loss and accuracy
+        train_loss, test_loss = glm.loss(model, train), glm.loss(model, test, z_test)
+        test_acc = glm.accuracy(model, x_test, y_test, z_test)
         ok = np.isfinite(train_loss) & np.isfinite(test_loss)
         for rec, row in zip(stack, zip(wall, train_loss, test_loss, test_acc, ok)):
             if row[-1]:

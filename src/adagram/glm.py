@@ -15,6 +15,10 @@ import numpy as np
 # batch_hessian forms an n x n matrix; keep it a desk-scale diagnostic.
 HESSIAN_FEATURE_CAP = 512
 
+# Loss terms are summed by extraction (_row_sums) where a call has at least
+# this many in all; below it math.fsum alone costs less.
+_EXTRACT_MIN_TERMS = 1024
+
 
 class Link(enum.Enum):
     SIGMOID = "sigmoid"
@@ -107,28 +111,57 @@ def _logits(model: GlmModel, x: np.ndarray) -> np.ndarray:
     """x theta^T, (b,) binary or (b, m) softmax: one product per model."""
     if model.link is Link.SIGMOID:
         return (x @ model.theta[..., 0, :, None])[..., 0]
-    return x @ model.theta.swapaxes(-1, -2)
+    return x @ model.theta.mT
 
 
-def loss(model: GlmModel, batch: Batch):
+def loss(model: GlmModel, batch: Batch, z: np.ndarray | None = None):
     """Mean cross-entropy over the batch (an array of them for a stack).
 
     Per-sample terms use log-sum-exp; the reduction uses exactly rounded
     summation (math.fsum), so the value is independent of sample order.
+    ``z`` may give the batch's logits, ``_logits(model, batch.x)``.
     """
     y = check_labels(model, batch)
-    z = _logits(model, batch.x)
+    if z is None:
+        z = _logits(model, batch.x)
     if model.link is Link.SIGMOID:
         terms = np.logaddexp(0.0, z) - y * z
     else:
         terms = _log_sum_exp(z) - z[..., np.arange(batch.size), y]
-    means = []
-    for t in terms.reshape(-1, batch.size):
-        try:
-            means.append(math.fsum(memoryview(t)) / batch.size)
-        except (OverflowError, ValueError):  # non-negative terms: overflow is +inf
-            means.append(math.inf)
+    means = [total / batch.size for total in _row_sums(terms.reshape(-1, batch.size))]
     return means[0] if terms.ndim == 1 else np.array(means)
+
+
+def _row_sums(rows: np.ndarray) -> list[float]:
+    """math.fsum of each row of non-negative terms, +inf where it raises
+    (overflow).  Many terms in all, finite and neither tiny nor huge, get
+    the same bits for less: two rounds of error-free extraction (Rump,
+    Ogita & Oishi, 2008) split each term x of a row of n at sigma = 2^k >=
+    2 n max|x| into a multiple of sigma 2^-53, whose sums are exact in any
+    order, and an exact remainder, split in turn at sigma 2^(ceil(log2 2n)
+    - 53).  fsum then rounds the exact sum of the two row sums and of the
+    remainders not zero, which only terms some 30 binades or more below the
+    row's largest leave."""
+    n = rows.shape[1]
+    if rows.size >= _EXTRACT_MIN_TERMS:
+        top = np.maximum.reduce(np.abs(rows), axis=1)
+        if ((top > 2.0 ** -900) & (top < 2.0 ** 1000 / n)).all():  # NaN fails
+            sigma = np.ldexp(1.0, np.frexp(top * (2 * n))[1])[:, None]
+            high = (sigma + rows) - sigma
+            rest = rows - high
+            sigma *= 2.0 ** (math.frexp(2.0 * n)[1] - 53)
+            low = (sigma + rest) - sigma
+            rest -= low
+            return [math.fsum([a, b, *r[r != 0.0].tolist()]) for a, b, r in
+                    zip(np.add.reduce(high, axis=1).tolist(), np.add.reduce(low, axis=1).tolist(),
+                        rest)]
+    sums = []
+    for row in rows:
+        try:
+            sums.append(math.fsum(memoryview(row)))
+        except (OverflowError, ValueError):  # non-negative terms: overflow is +inf
+            sums.append(math.inf)
+    return sums
 
 
 def gradient(model: GlmModel, batch: Batch) -> np.ndarray:
@@ -144,7 +177,7 @@ def gradient(model: GlmModel, batch: Batch) -> np.ndarray:
         return (resid[..., None, :] @ batch.x) / batch.size
     p = np.exp(z - _log_sum_exp(z)[..., None])
     p[..., np.arange(batch.size), y] -= 1.0
-    return p.swapaxes(-1, -2) @ batch.x / batch.size
+    return p.mT @ batch.x / batch.size
 
 
 def batch_hessian(model: GlmModel, batch: Batch) -> np.ndarray:
@@ -166,15 +199,19 @@ def batch_hessian(model: GlmModel, batch: Batch) -> np.ndarray:
     return (batch.x * weights[:, None]).T @ batch.x / batch.size
 
 
-def predict(model: GlmModel, x: np.ndarray) -> np.ndarray:
-    """Predicted class indices."""
+def predict(model: GlmModel, x: np.ndarray, z: np.ndarray | None = None) -> np.ndarray:
+    """Predicted class indices; ``z`` may give x's logits."""
+    if z is None:
+        z = _logits(model, x)
     if model.link is Link.SIGMOID:
-        return (_logits(model, x) >= 0.0).astype(int)
-    return np.argmax(_logits(model, x), axis=-1)
+        return (z >= 0.0).astype(int)
+    return np.argmax(z, axis=-1)
 
 
-def accuracy(model: GlmModel, x: np.ndarray, y: np.ndarray):
-    """Share of correct predictions (an array of them for a stack)."""
-    hits = np.mean(predict(model, x) == y, axis=-1)
+def accuracy(model: GlmModel, x: np.ndarray, y: np.ndarray, z: np.ndarray | None = None):
+    """Share of correct predictions (an array of them for a stack); ``z``
+    may give x's logits, so that a caller computing the loss on the same
+    rows forms them once."""
+    hits = np.mean(predict(model, x, z) == y, axis=-1)
     return float(hits) if hits.ndim == 0 else hits
 

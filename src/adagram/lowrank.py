@@ -12,16 +12,17 @@ writes the sum exactly on an (r+1) x (r+1) core and always leaves the
 same way: it drops the core's smallest singular triplet with one
 Householder reflector per side.  The triplet comes from one LU of the
 core by repeated squaring of (M^T M)^{-1}, from a full SVD of the core
-where that does not succeed, or is the last coordinate on a side whose
-residual direction is missing.  Both schemes operate on factored
-quantities only (no n x n array is ever formed) and keep the core a
-general r x r matrix.
+where that does not succeed and at rank 1 (a 2 x 2 core, whose SVD costs
+less), or is the last coordinate on a side whose residual direction is
+missing.  Both schemes operate on factored quantities only (no n x n
+array is ever formed) and keep the core a general r x r matrix.
 
 A leading axis may stack K independent problems.  Stacked products are
 batched ``np.matmul`` calls, one BLAS call per slice, so a slice gets the
-same bits in a stack as alone; the r x r LAPACK calls, the rank-1 panel
-and basis updates and the Householder fallback of the QR run slice by
-slice.
+same bits in a stack as alone; the r x r LAPACK calls and the rank-1
+panel and basis updates run slice by slice, and the batched LAPACK of
+numpy (the Householder fallback of the QR, the SVD of the core) loops over
+the slices in C.
 """
 
 from __future__ import annotations
@@ -76,11 +77,6 @@ _RESIDUAL_TOL = 1e-13
 _CERTIFIED_TOL = 4e-15
 
 
-def _t(a: np.ndarray) -> np.ndarray:
-    """Transpose of a matrix, or of each matrix in a stack."""
-    return a.swapaxes(-1, -2)
-
-
 @dataclass
 class LowRankFactors:
     """Factorization A = u @ s @ v.T with orthonormal columns in u and v.
@@ -106,11 +102,11 @@ class LowRankFactors:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """A @ x without forming A, cost O(n r), for a vector or a stack."""
-        return (self.u @ (self.s @ (_t(self.v) @ x[..., None])))[..., 0]
+        return (self.u @ (self.s @ (self.v.mT @ x[..., None])))[..., 0]
 
     def apply_transpose(self, x: np.ndarray) -> np.ndarray:
         """A.T @ x without forming A, cost O(n r)."""
-        return (self.v @ (_t(self.s) @ (_t(self.u) @ x[..., None])))[..., 0]
+        return (self.v @ (self.s.mT @ (self.u.mT @ x[..., None])))[..., 0]
 
 
 @dataclass
@@ -165,28 +161,29 @@ def orthogonal_factorization(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (rank-deficient, badly conditioned, not finite, or one whose Cholesky
     fails) takes Householder QR, whose reflectors complete the basis
     deterministically (a zero matrix yields identity columns).  Callers
-    never see an error.  A stack of panels is factored slice by slice, so
+    never see an error.  The LAPACK calls run slice by slice and the
+    fallback takes one stacked QR, which factors each slice on its own, so
     a slice gets the bits and layout of its lone call.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim not in (2, 3) or m.shape[-2] < m.shape[-1]:
         raise ValueError(f"expected tall n x r matrices, got shape {m.shape}")
     eye = _eye(m.shape[-1])
-    low, failed = _each(_dpotrf, _t(m) @ m, 1, 1, 1)  # lower, clean, in place
+    low, failed = _each(_dpotrf, m.mT @ m, 1, 1, 1)  # lower, clean, in place
     for k in failed:  # L = I, so q = m, kept only where m is orthonormal, as r = I
         low[k] = eye
     # Each L now has a positive diagonal, so its inverse exists.
     inv, _ = _each(_dtrtri, low, 1, 0, 1)  # lower, not unit, in place
-    q, r = m @ _t(inv), _t(low.copy())
+    q, r = m @ inv.mT, low.copy().mT
     # The test also fails where q is not finite.
-    passed = np.abs(_t(q) @ q - eye).max(axis=(-2, -1)) <= _CERTIFIED_TOL
+    passed = np.maximum.reduce(np.abs(q.mT @ q - eye), axis=(-2, -1)) <= _CERTIFIED_TOL
     if passed.all():
         return q, r
-    for k in map(tuple, np.argwhere(~passed)):  # Householder QR, diag(r) >= 0
-        q[k], r[k] = np.linalg.qr(m[k])
-        flip = np.diag(r[k]) < 0.0
-        q[k][:, flip] *= -1.0
-        r[k][flip, :] *= -1.0
+    # Householder QR of every other panel in one call (a 0-d mask adds an
+    # axis), signs fixed to diag(r) >= 0 by exact products with -1.0 or 1.0.
+    qh, rh = np.linalg.qr(m[~passed])
+    sign = np.where(rh.diagonal(0, -2, -1) < 0.0, -1.0, 1.0)
+    q[~passed], r[~passed] = qh * sign[:, None, :], rh * sign[:, :, None]
     return q, r
 
 
@@ -203,7 +200,7 @@ def _each(lapack, mats: np.ndarray, *flags) -> tuple[np.ndarray, list]:
     (directly: numpy's wrapper costs more than the r x r work), ``flags``
     ending in the overwrite flag: the results, Fortran-ordered so a slice's
     products make the same BLAS calls stacked as alone, and failed indices."""
-    out, failed = _t(_t(mats).copy()), []
+    out, failed = mats.mT.copy().mT, []
     for k, mat in enumerate(out.reshape((-1,) + out.shape[-2:])):
         res, info = lapack(mat, *flags)
         if res is not mat:  # not done in place
@@ -260,9 +257,9 @@ def _splitting_step(factors, inc, factor):
     s0_hat = s1_hat - ua[..., :, None] * bv[..., None, :]
 
     au = weight * ua                                    # row of u1.T @ dA
-    v1, s1_t = factor(v0, _t(s0_hat), b, au)
+    v1, s1_t = factor(v0, s0_hat.mT, b, au)
 
-    return LowRankFactors(u1, _t(s1_t), v1)
+    return LowRankFactors(u1, s1_t.mT, v1)
 
 
 def _factor_panel(basis, core, vec, row):
@@ -270,7 +267,7 @@ def _factor_panel(basis, core, vec, row):
     term added in place (one BLAS ``dger`` per slice)."""
     n, r = basis.shape[-2:]
     panel = basis @ core
-    for pk, vk, rk in zip(_t(panel).reshape(-1, r, n), vec.reshape(-1, n), row.reshape(-1, r)):
+    for pk, vk, rk in zip(panel.mT.reshape(-1, r, n), vec.reshape(-1, n), row.reshape(-1, r)):
         _dger(1.0, rk, vk, a=pk, overwrite_a=True)
     return orthogonal_factorization(panel)
 
@@ -293,7 +290,7 @@ def _factor_augmented(basis, core, vec, row):
     c[..., :r, :] += core
     q, rr = orthogonal_factorization(c)
     out = basis @ q[..., :r, :]
-    for ok, wk, qk in zip(_t(out).reshape(-1, r, n), resid, q[..., r, :].reshape(-1, r)):
+    for ok, wk, qk in zip(out.mT.reshape(-1, r, n), resid, q[..., r, :].reshape(-1, r)):
         _dger(1.0, qk, wk, a=ok, overwrite_a=True)  # in place
     return out, rr
 
@@ -309,7 +306,8 @@ def rank_one_svd_combine(factors: LowRankFactors,
     Householder reflector per side maps x and y to the last coordinate,
     the leading r x r block of the reflected core is the new (general)
     core, and each basis takes one rank-1 update.  The triplet comes from
-    :func:`_deflation`; where that finds none, from a full SVD of the core.
+    :func:`_deflation`; where that finds none, and at rank 1, from a full
+    SVD of the core.
     A side whose residual direction is missing (a in span(u), b in span(v),
     or rank = dim) has a zero row or column in M, and takes x or y =
     e_last, which drops it exactly.  Rank-deficient input never errors.
@@ -327,12 +325,13 @@ def _combine_in_place(bases: np.ndarray, s: np.ndarray,
     k, (n, r) = math.prod(s.shape[:-2]), bases.shape[-2:]
     flat = bases.reshape(2 * k, n, r)  # a view: the K slices of u, then those of v
     side, resid = _split_against_basis(flat, np.array([inc.a, inc.b]).reshape(2 * k, n))
-    w = np.reshape(inc.weight, (-1, 1, 1))  # one per slice
+    w = np.asarray(inc.weight).reshape(-1, 1, 1)  # one per slice
     core = np.zeros((k, r + 1, r + 1))
     core[:, :r, :r] = s.reshape(k, r, r)
     core += w * (side[:k, :, None] * side[k:, None, :])
 
-    xy, found = _deflation(core)
+    # A 2 x 2 core's SVD costs less than its deflation at every stack size.
+    xy, found = _deflation(core) if r > 1 else (np.empty((2, k, r + 1)), np.zeros(k, dtype=bool))
     if not found.all():  # a core with a missing direction is singular: never found
         missing = (side[:, r] == 0.0).reshape(2, k)
         redo = ~found & ~missing.all(axis=0)  # not found, and at least one direction
@@ -358,7 +357,7 @@ def _reflect_out(core, bases, resid, xy):
     resid *= hs[:, r:]
     c = (bases @ hs[:, :r, None])[..., 0]
     c += resid
-    for hk, ck, ak in zip(hs[:, :r], c, _t(bases)):
+    for hk, ck, ak in zip(hs[:, :r], c, bases.mT):
         _dger(-2.0, hk, ck, a=ak, overwrite_a=True)
     return _reflected_core(core, hs[:k], hs[k:])
 
@@ -400,8 +399,8 @@ def _deflation(core: np.ndarray):
     with np.errstate(all="ignore"):  # failed or unconverged slices may overflow
         # B at unit trace has eigenvalues <= 1, so no squaring overflows;
         # trace(B @ B) = ||B||_F^2 for a symmetric B.
-        b = inv @ _t(inv)
-        b /= _sqnorm(_t(inv).reshape(k, -1))[:, None, None]
+        b = inv @ inv.mT
+        b /= _sqnorm(inv.mT.reshape(k, -1))[:, None, None]
         top, done = np.nan, 0  # B where it met the test
         for squarings in _SQUARINGS:
             for _ in range(squarings - done - 1):
@@ -426,10 +425,10 @@ def _deflation(core: np.ndarray):
         diag = top.diagonal(0, 1, 2)
         col, rows = diag.argmax(axis=1), np.arange(k)
         y = (top[rows, col] / np.sqrt(diag[rows, col])[:, None])[..., None]
-        x = _t(inv) @ y
+        x = inv.mT @ y
         sigma = 1.0 / np.sqrt(_sqnorm(x[..., 0]))[:, None, None]
         x *= sigma
-        resid = _sqnorm(np.concatenate([core @ y - sigma * x, _t(core) @ x - sigma * y],
+        resid = _sqnorm(np.concatenate([core @ y - sigma * x, core.mT @ x - sigma * y],
                                        axis=1)[..., 0])
         found = resid <= _RESIDUAL_TOL ** 2 * _sqnorm(core.reshape(k, -1))
     return np.concatenate([x, y])[..., 0].reshape(2, k, n), found
@@ -462,14 +461,14 @@ def _split_against_basis(basis: np.ndarray, vec: np.ndarray):
     vec = vec[:, :, None]
     side = np.empty((len(basis), r + 1, 1))
     coeff, norm = side[:, :r], side[:, r:]
-    scale = np.maximum(1.0, np.sqrt(_t(vec) @ vec))
-    np.matmul(_t(basis), vec, out=coeff)
+    scale = np.maximum(1.0, np.sqrt(vec.mT @ vec))
+    np.matmul(basis.mT, vec, out=coeff)
     vec -= basis @ coeff
     # One reorthogonalization pass keeps the augmented basis orthonormal.
-    correction = _t(basis) @ vec
+    correction = basis.mT @ vec
     vec -= basis @ correction
     coeff += correction
-    np.sqrt(_t(vec) @ vec, out=norm)
+    np.sqrt(vec.mT @ vec, out=norm)
     # Where the basis spans the whole space the residual is round-off.
     norm *= norm > _SUBSPACE_TOL * scale if r < n else 0.0
     vec /= norm + (norm == 0.0)

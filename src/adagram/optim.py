@@ -92,25 +92,27 @@ class ParamState:
 
 
 def vec(w: np.ndarray) -> np.ndarray:
-    """Flatten an m x n matrix column-major (each matrix of a stack)."""
-    w = np.asarray(w, dtype=float)
-    return w.swapaxes(-1, -2).reshape(w.shape[:-2] + (-1,))
+    """Flatten an m x n float array column-major (each matrix of a stack)."""
+    return w.mT.reshape(w.shape[:-2] + (-1,))
 
 
 def unvec(w: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     """Inverse of :func:`vec`."""
-    w = np.asarray(w, dtype=float)
-    return w.reshape(w.shape[:-1] + shape[::-1]).swapaxes(-1, -2)
+    return w.reshape(w.shape[:-1] + shape[::-1]).mT
 
 
 def _sym_inv_power(mat: np.ndarray, power: float) -> np.ndarray:
     """mat^power for symmetric PSD mat (or a stack) via eigendecomposition.
 
-    Eigenvalues are floored at _EIG_FLOOR before the fractional power.
+    Eigenvalues are floored at _EIG_FLOOR before the fractional power.  A
+    1 x 1 matrix is its own eigenvalue with eigenvector 1 (LAPACK returns
+    both as they are), so its power is taken directly, with the same bits.
     """
+    if mat.shape[-1] == 1:
+        return np.maximum(mat, _EIG_FLOOR) ** power
     lam, vecs = np.linalg.eigh(mat)
     lam = np.maximum(lam, _EIG_FLOOR)
-    return (vecs * lam[..., None, :]**power) @ vecs.swapaxes(-1, -2)
+    return (vecs * lam[..., None, :]**power) @ vecs.mT
 
 
 def _nonfinite(x: np.ndarray | float, axes: tuple):
@@ -167,8 +169,8 @@ def shampoo_step(params: ParamState, grad: np.ndarray, left: np.ndarray,
                  right: np.ndarray, cfg: OptimizerConfig) -> ParamState:
     """Accumulate L += g g^T and R += g^T g, then step along L^{-1/4} g R^{-1/4}."""
     def rule(w, g):
-        left[...] += g @ g.swapaxes(-1, -2)
-        right[...] += g.swapaxes(-1, -2) @ g
+        left[...] += g @ g.mT
+        right[...] += g.mT @ g
         delta = _sym_inv_power(left, -0.25) @ g @ _sym_inv_power(right, -0.25)
         return w - cfg.learning_rate * delta, False
     return _step(params, grad, rule)
@@ -251,9 +253,10 @@ class Optimizer:
             self.learning_rate, eps, mu = cfg.learning_rate, cfg.eps, cfg.mu
         self.kind = cfgs[0].kind
         self.state = _init_state(self.kind, shape, eps, cfgs[0].rank, mu)
+        self._step_name = f"{self.kind.value}_step"
 
     def step(self, params: ParamState, grad: np.ndarray) -> ParamState:
-        return globals()[f"{self.kind.value}_step"](params, grad, *self.state, self)
+        return globals()[self._step_name](params, grad, *self.state, self)
 
     def select(self, keep: np.ndarray) -> None:
         """Keep the cells of a stack where ``keep`` is true."""

@@ -84,12 +84,9 @@ class ExactPQState:
 
     def __init__(self, dim: int, eps):
         self.eps = _check_eps_dim(dim, eps)
+        self.dim = dim
         self.p = np.zeros(self.eps.shape + (dim, 0))
         self.q = np.zeros(self.eps.shape + (dim, 0))
-
-    @property
-    def dim(self) -> int:
-        return self.p.shape[-2]
 
     @property
     def t(self) -> int:
@@ -116,7 +113,7 @@ class IntegratorState:
         # History and increment weights: (mu, 1 - mu), or (1, 1) without mu.
         self._weigh(np.reshape([1.0 if x is None else x for x in mus], self.eps.shape),
                     np.reshape([1.0 if x is None else 1.0 - x for x in mus], self.eps.shape))
-        self.variant, self.t = variant, 0
+        self.variant, self.t, self.dim = variant, 0, dim
         self._hold(zero_factors(dim, rank, (self.eps if self.live is None else self.live).shape))
         self.rank = self.factors.rank
 
@@ -125,10 +122,6 @@ class IntegratorState:
         self.live = None if inc.all() else np.flatnonzero(inc)
         self.weights = ((hist, inc) if self.live is None else
                         (np.ravel(hist)[self.live], np.ravel(inc)[self.live]))
-
-    @property
-    def dim(self) -> int:
-        return self.factors.dim
 
     def _hold(self, factors: LowRankFactors) -> None:
         """Hold ``factors``; the truncated-SVD variant holds its u and v as
@@ -162,7 +155,7 @@ def apply_inverse(state: PreconditionerState, g: np.ndarray) -> np.ndarray:
     g = _check_vector(state, g)
     y = g / np.sqrt(state.eps)[..., None]
     if isinstance(state, ExactPQState):
-        return y - (state.p @ (state.q.swapaxes(-1, -2) @ y[..., None]))[..., 0]
+        return y - (state.p @ (state.q.mT @ y[..., None]))[..., 0]
     if state.live is None:
         return y - state.factors.apply(y)
     if state.live.size:  # the other cells have A = 0
@@ -179,7 +172,6 @@ def preconditioned_direction(gbar: np.ndarray, norm_sq=None) -> np.ndarray:
     state.  Strictly norm-contracting unless gbar = 0.  Row by row;
     ``norm_sq`` may give ||gbar||^2 as :func:`squared_norm` does.
     """
-    gbar = np.asarray(gbar, dtype=float)
     s = squared_norm(gbar) if norm_sq is None else norm_sq
     return gbar / (math.sqrt(1.0 + s) if isinstance(s, float) else np.sqrt(1.0 + s)[:, None])
 
@@ -212,7 +204,7 @@ def update_exact(state: ExactPQState, gbar: np.ndarray) -> ExactPQState:
     check_exact_budget(state.t + 1, state.eps.size * state.dim)  # the stack's
     norm_sq = (gbar[..., None, :] @ gbar[..., :, None])[..., 0, 0]
     beta = beta_of(alpha_of(norm_sq), norm_sq)
-    q_col = gbar - (state.q @ (state.p.swapaxes(-1, -2) @ gbar[..., None]))[..., 0]
+    q_col = gbar - (state.q @ (state.p.mT @ gbar[..., None]))[..., 0]
     state.p = np.concatenate([state.p, (beta[..., None] * gbar)[..., None]], axis=-1)
     state.q = np.concatenate([state.q, q_col[..., None]], axis=-1)
     return state

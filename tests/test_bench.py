@@ -1,5 +1,7 @@
 """Tests for the experiment harness, grid search, invariant suite, and CLI."""
 
+import csv
+import io
 import math
 import os
 import time
@@ -140,6 +142,27 @@ class TestRunExperiment:
         for a, b in zip(record.rows, loaded.rows):
             assert a.train_loss == b.train_loss
             assert a.test_acc == b.test_acc
+
+    def test_csv_text_is_what_csv_writer_writes(self):
+        # Rows are joined with commas directly: byte for byte what
+        # csv.writer gives, for every kind of float a trace holds.
+        record = RunRecord(
+            [bench_mod.EpochRow(1, 0.25, 0.6931471805599453, math.inf, 0.5),
+             bench_mod.EpochRow(2, 1e-05, 5e-324, 1.7976931348623157e308, 0.0),
+             bench_mod.EpochRow(3, 12.0, math.nan, -0.0, 1.0)],
+            {"config_hash": "abc", "dataset": "synthetic:dense", "mu": "none"}, True)
+        out = io.StringIO()
+        for k, v in record.metadata.items():
+            out.write(f"# {k}: {v}\n")
+        out.write("# diverged: true\n")
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
+        for r in record.rows:
+            writer.writerow([r.epoch, repr(r.wall_clock_s), repr(r.train_loss),
+                             repr(r.test_loss), repr(r.test_acc)])
+        assert record.to_csv() == out.getvalue()
+        assert RunRecord(record.rows[:0], {}).to_csv() == "# diverged: false\n" + \
+            ",".join(CSV_COLUMNS) + "\n"
 
     def test_csv_schema(self):
         text = run_experiment(make_cfg(epochs=1)).to_csv()

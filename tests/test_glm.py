@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import adagram.glm as glm_mod
 from adagram.glm import (
     Batch,
     GlmModel,
@@ -188,6 +189,72 @@ class TestHelpers:
         x = np.array([[2.0, 0.0], [-3.0, 1.0]])
         np.testing.assert_array_equal(predict(model, x), [1, 0])
         assert accuracy(model, x, np.array([1, 1])) == 0.5
+
+    @pytest.mark.parametrize("link,m", [(Link.SIGMOID, 1), (Link.SOFTMAX, 3)])
+    def test_given_logits_give_the_same_loss_and_accuracy(self, link, m):
+        rng = np.random.default_rng(6)
+        batch = Batch(rng.standard_normal((30, 4)), rng.integers(0, 2 if m == 1 else m, 30))
+        model = GlmModel(rng.standard_normal((3, m, 4)), link)
+        z = glm_mod._logits(model, batch.x)
+        assert loss(model, batch, z).tobytes() == loss(model, batch).tobytes()
+        assert accuracy(model, batch.x, batch.y, z).tobytes() == \
+            accuracy(model, batch.x, batch.y).tobytes()
+
+
+class TestRowSums:
+    """The loss's exactly rounded row sums: extraction, for many terms in
+    all, gives math.fsum's bits, and rows it cannot take go to math.fsum."""
+
+    @staticmethod
+    def fsums(rows):
+        out = []
+        for row in rows:
+            try:
+                out.append(math.fsum(memoryview(row)))
+            except (OverflowError, ValueError):
+                out.append(math.inf)
+        return out
+
+    def test_many_terms_match_fsum_bitwise(self):
+        rng = np.random.default_rng(11)
+        n = glm_mod._EXTRACT_MIN_TERMS
+        z = rng.standard_normal((4, 3 * n)) * 30.0
+        cases = [
+            rng.random((3, n)) * 10.0,
+            np.exp(rng.uniform(-700.0, 5.0, (5, 2 * n))),  # 300 binades apart
+            np.logaddexp(0.0, z) - (rng.random(3 * n) < 0.5) * z,  # loss terms
+            rng.choice([0.0, 5e-324, 1e-300, 2.0 ** -53, 1.0, 3.0, 1e10], (4, n + 1)),
+            np.full((2, n), 0.1) * (1.0 + 2.0 ** -52 * rng.integers(-3, 4, (2, n))),
+        ]
+        calls, real = [], math.fsum
+        for rows in cases + [np.zeros((1, n))]:  # zeros are too small: fsum alone
+            want = self.fsums(rows)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(math, "fsum", lambda it: calls.append(type(it)) or real(it))
+                got = glm_mod._row_sums(rows)
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+            assert calls == [list if rows.any() else memoryview] * len(rows)
+            calls.clear()
+
+    def test_few_terms_go_to_fsum(self, monkeypatch):
+        rows = np.random.default_rng(13).random((3, glm_mod._EXTRACT_MIN_TERMS // 3))
+        calls, real = [], math.fsum
+        monkeypatch.setattr(math, "fsum", lambda it: calls.append(type(it)) or real(it))
+        assert glm_mod._row_sums(rows) == [real(memoryview(r)) for r in rows]
+        assert calls == [memoryview] * 3
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e306])
+    def test_rows_it_cannot_take_go_to_fsum(self, bad, monkeypatch):
+        rows = np.random.default_rng(12).random((3, glm_mod._EXTRACT_MIN_TERMS))
+        rows[1, 7] = bad
+        with np.errstate(over="ignore"):
+            rows = np.concatenate([rows, rows[1:2] * 1e10])
+        want = self.fsums(rows)
+        calls, real = [], math.fsum
+        monkeypatch.setattr(math, "fsum", lambda it: calls.append(type(it)) or real(it))
+        got = glm_mod._row_sums(rows)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        assert calls == [memoryview] * 4  # each row summed whole
 
     def test_batch_validation(self):
         with pytest.raises(ValueError):

@@ -144,7 +144,8 @@ class TestCertifiedRound:
 
     @staticmethod
     def count_qr(monkeypatch):
-        """The shapes of the Householder QRs made."""
+        """The shapes of the Householder QRs made: one stacked call for
+        all the panels that fall back, a stack of one for a lone panel."""
         qrs, real = [], np.linalg.qr
         monkeypatch.setattr(np.linalg, "qr", lambda a: qrs.append(a.shape) or real(a))
         return qrs
@@ -180,7 +181,7 @@ class TestCertifiedRound:
         assert self.one_round(m)[2] > lowrank_mod._CERTIFIED_TOL
         calls, qrs = self.count(monkeypatch), self.count_qr(monkeypatch)
         q, r = orthogonal_factorization(m)
-        assert calls == {"_dpotrf": 1, "_dtrtri": 1} and qrs == [m.shape]
+        assert calls == {"_dpotrf": 1, "_dtrtri": 1} and qrs == [(1, *m.shape)]
         assert np.abs(q.T @ q - np.eye(m.shape[1])).max() <= 1e-13
         assert np.abs(q @ r - m).max() <= 1e-14
         assert (np.diag(r) > 0.0).all() and np.array_equal(np.triu(r), r)
@@ -200,19 +201,27 @@ class TestCertifiedRound:
         # A certified panel gets the q and r bits and strides of its lone
         # call beside a certified panel and beside an ill-conditioned or a
         # NaN one, each of which takes Householder QR; each stack makes one
-        # dpotrf and one dtrtri a slice.
+        # dpotrf and one dtrtri a slice.  Two failed panels side by side
+        # take one stacked QR, and each keeps its lone call's q and r.
         rng = np.random.default_rng(55)
         good, other, bad = self.panel(rng, 2.0), self.panel(rng, 3.0), self.panel(rng, 1e5)
-        nan = np.full_like(good, np.nan)
-        q, r = orthogonal_factorization(good)
+        worse, nan = self.panel(rng, 1e7), np.full_like(good, np.nan)
+        lone = [orthogonal_factorization(m) for m in (good, bad, worse)]
         calls, qrs = self.count(monkeypatch), self.count_qr(monkeypatch)
-        for neighbour, householder in ((other, []), (bad, [bad.shape]), (nan, [nan.shape])):
+        for stack, householder, kept in (
+                ((other, good), [], [(1, 0)]),
+                ((bad, good), [(1, *bad.shape)], [(1, 0), (0, 1)]),
+                ((nan, good), [(1, *nan.shape)], [(1, 0)]),
+                ((good, bad, worse), [(2, *bad.shape)], [(0, 0), (1, 1), (2, 2)])):
             calls.update(_dpotrf=0, _dtrtri=0)
             qrs.clear()
-            qs, rs = orthogonal_factorization(np.stack([neighbour, good]))
-            assert calls == {"_dpotrf": 2, "_dtrtri": 2} and qrs == householder
-            assert q.tobytes() == qs[1].tobytes() and r.tobytes() == rs[1].tobytes()
-            assert r.strides == rs.strides[1:] and q.strides == qs.strides[1:]
+            qs, rs = orthogonal_factorization(np.stack(stack))
+            assert calls == {"_dpotrf": len(stack), "_dtrtri": len(stack)}
+            assert qrs == householder
+            for at, which in kept:
+                q, r = lone[which]
+                assert q.tobytes() == qs[at].tobytes() and r.tobytes() == rs[at].tobytes()
+                assert r.strides == rs.strides[1:] and q.strides == qs.strides[1:]
 
     def test_a_failed_panel_is_listed_once(self, monkeypatch):
         # A rank-deficient panel fails its Cholesky and is not listed again
@@ -222,7 +231,7 @@ class TestCertifiedRound:
         stack = np.stack([self.panel(rng, 2.0, n=30, r=3), np.hstack([col, 2 * col, -col])])
         real, qrs = np.linalg.qr, self.count_qr(monkeypatch)
         q, r = orthogonal_factorization(stack)
-        assert qrs == [(30, 3)]
+        assert qrs == [(1, 30, 3)]
         q1, r1 = real(stack[1])
         flip = np.where(np.diag(r1) < 0.0, -1.0, 1.0)
         assert np.array_equal(q[1], q1 * flip) and np.array_equal(r[1], flip[:, None] * r1)
@@ -468,12 +477,20 @@ class TestTruncatedSvdUpdate:
         assert_orthonormal(out.u)
 
     def test_stacked_slices_match_each_slice_alone(self):
+        self.stack_against_alone(3)
+
+    def test_rank_one_stacked_slices_match_each_slice_alone(self):
+        self.stack_against_alone(1)
+
+    @staticmethod
+    def stack_against_alone(r):
         # Generic, a in span(U), b in span(V), both, and generic again, then
         # a tied core, which falls back to the SVD, beside a generic one,
-        # which deflates: whichever way a slice's triplet is found, it gets
-        # its bits alone.
+        # which deflates at r = 3, and a NaN core: whichever way a slice's
+        # triplet is found (at r = 1 always by the SVD), it gets its bits
+        # alone, and the NaN core gives NaN bases.
         rng = np.random.default_rng(14)
-        n, r = 8, 3
+        n = 8
         alone = [random_factors(rng, n, r) for _ in range(5)]
         incs = []
         for k, f in enumerate(alone):
@@ -486,16 +503,18 @@ class TestTruncatedSvdUpdate:
         alone = [LowRankFactors(f.u, mu * f.s, f.v) for f, mu in zip(alone, mus)]
         incs = [RankOneIncrement(i.a, i.b, (1.0 - mu) * i.weight) for i, mu in zip(incs, mus)]
         tied, tied_inc, _ = tied_case(rng, n, r)
-        alone += [tied, random_factors(rng, n, r)]
-        incs += [tied_inc, RankOneIncrement(rng.standard_normal(n), rng.standard_normal(n), 0.3)]
+        alone += [tied, random_factors(rng, n, r), random_factors(rng, n, r)]
+        incs += [tied_inc, RankOneIncrement(rng.standard_normal(n), rng.standard_normal(n), 0.3),
+                 RankOneIncrement.trusted(rng.standard_normal(n), rng.standard_normal(n), np.nan)]
         stack = LowRankFactors(*(np.stack([getattr(f, x) for f in alone]) for x in "usv"))
-        out = rank_one_svd_combine(
-            stack, RankOneIncrement(np.stack([i.a for i in incs]), np.stack([i.b for i in incs]),
-                                    np.array([i.weight for i in incs])))
-        for k, (f, inc) in enumerate(zip(alone, incs)):
+        out = rank_one_svd_combine(stack, RankOneIncrement.trusted(
+            np.stack([i.a for i in incs]), np.stack([i.b for i in incs]),
+            np.array([i.weight for i in incs])))
+        for k, (f, inc) in enumerate(zip(alone[:-1], incs)):
             one = rank_one_svd_combine(f, inc)
             for x in "usv":
                 assert getattr(out, x)[k].tobytes() == getattr(one, x).tobytes()
+        assert np.isnan(out.u[-1]).all() and np.isnan(out.v[-1]).all()
 
 
 class TestDeflation:
@@ -541,7 +560,9 @@ class TestDeflation:
         assert len(gaps) == steps
         assert max(gaps) <= 1e-12
         assert max(ortho) <= 1e-13
-        if mu is not None:  # without mu the spectrum clusters near 1: near ties
+        if rank == 1:  # a 2 x 2 core takes the SVD at every step
+            assert fallbacks == [1] * steps
+        elif mu is not None:  # without mu the spectrum clusters near 1: near ties
             assert sum(fallbacks) <= steps // 4  # most steps deflate
 
     @pytest.mark.parametrize("r", [1, 3, 6])

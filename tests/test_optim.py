@@ -178,6 +178,27 @@ class TestShampoo:
             np.testing.assert_allclose(params.weights, prev - delta, atol=1e-10)
 
 
+    def test_one_by_one_factor_equals_its_eigendecomposition_bitwise(self):
+        # A 1 x 1 factor skips eigh: the same bits for every value, a stack
+        # of them, ones below the floor, 0, subnormal, huge and inf.
+        def eigh_power(mat, power):
+            lam, vecs = np.linalg.eigh(mat)
+            lam = np.maximum(lam, optim._EIG_FLOOR)
+            return (vecs * lam[..., None, :]**power) @ vecs.swapaxes(-1, -2)
+
+        rng = np.random.default_rng(9)
+        special = [0.0, 1e-13, 1e-12, 5e-324, 1e300, np.inf]
+        values = np.concatenate([np.exp(rng.uniform(-40.0, 40.0, 10_000)), special])
+        for power in (-0.25, -0.5):
+            stack = values.reshape(-1, 1, 1)
+            assert optim._sym_inv_power(stack, power).tobytes() == \
+                eigh_power(stack, power).tobytes()
+            for v in special:
+                one = np.array([[v]])
+                assert optim._sym_inv_power(one, power).tobytes() == \
+                    eigh_power(one, power).tobytes()
+
+
 class TestAdaGramStep:
     def test_first_step_base_case(self):
         params = ParamState.zeros(1, 3)
