@@ -11,7 +11,6 @@ optimizers and excluded.
 from __future__ import annotations
 
 import concurrent.futures
-import csv
 import functools
 import hashlib
 import itertools
@@ -30,10 +29,9 @@ from .data import (
     CorrelationSpec,
     Dataset,
     SyntheticSpec,
-    _shuffled_rows,
-    _standardize,
     generate_synthetic,
     load_libsvm,
+    split_standardize,
 )
 from .optim import (
     FULL_MATRIX_CAP,
@@ -228,23 +226,26 @@ class RunRecord:
 
     @classmethod
     def from_csv(cls, text: str) -> "RunRecord":
+        """The record ``to_csv`` wrote; a ConfigError says what does not read."""
         metadata: dict[str, str] = {}
         lines = []
-        for line in text.splitlines():
+        for lineno, line in enumerate(text.splitlines(), start=1):
             if line.startswith("#"):
                 k, _, v = line[1:].partition(":")
                 metadata[k.strip()] = v.strip()
             elif line.strip():
-                lines.append(line)
+                lines.append((lineno, line))
         diverged = metadata.pop("diverged", "false") == "true"
-        reader = csv.reader(lines)
-        header = tuple(next(reader))
-        if header != CSV_COLUMNS:
-            raise ConfigError(f"unexpected CSV header {header}")
-        rows = [
-            EpochRow(int(e), float(w), float(tr), float(te), float(acc))
-            for e, w, tr, te, acc in reader
-        ]
+        header = ",".join(CSV_COLUMNS)
+        if not lines or lines.pop(0)[1] != header:
+            raise ConfigError(f"the trace lacks its CSV header line {header!r}")
+        rows = []
+        for lineno, line in lines:
+            try:
+                e, w, tr, te, acc = line.split(",")
+                rows.append(EpochRow(int(e), float(w), float(tr), float(te), float(acc)))
+            except ValueError as exc:
+                raise ConfigError(f"line {lineno}: {exc}") from None
         return cls(rows, metadata, diverged)
 
     @classmethod
@@ -287,18 +288,14 @@ def resolve_dataset(cfg: ExperimentConfig) -> Dataset:
 
 def _prepare(cfg: ExperimentConfig):
     """The config's split data, read-only: a grid shares it between cells.
-    At most two copies of the data are held: the source and the one gather,
-    and then (the source dropped) the gather and the statistics' temporary."""
-    ds = resolve_dataset(cfg)
-    n_classes, name, n = ds.n_classes, ds.name, ds.n_features
-    x, y, n_test = _shuffled_rows(ds, cfg.test_fraction, cfg.seed, cfg.add_bias)
-    del ds
-    _standardize(x, n_test, n)
+    The dataset goes to the split as a temporary, which then holds its last
+    reference, so at most two copies of the data are held."""
+    *split, n_classes = split_standardize(resolve_dataset(cfg), cfg.test_fraction,
+                                          cfg.seed, cfg.add_bias)
     if n_classes < 2:
-        raise ConfigError(f"dataset {name!r} has a single class")
+        raise ConfigError(f"dataset {cfg.dataset!r} has a single class")
     m = 1 if n_classes == 2 else n_classes
     link = glm.Link.SIGMOID if m == 1 else glm.Link.SOFTMAX
-    split = x[n_test:], y[n_test:], x[:n_test], y[:n_test]
     for a in split:
         a.flags.writeable = False
     return *split, m, link
@@ -446,7 +443,7 @@ def _selection_key(cfg: ExperimentConfig, record: RunRecord):
     loss_val = math.inf if record.diverged else record.final_train_loss
     rank = FIELD["rank"]
     rank_val = rank.get(cfg) if rank.applies_to(cfg.optimizer.kind) else 0
-    return (loss_val, rank_val, FIELD["lr"].get(cfg), config_hash(cfg))
+    return (loss_val, rank_val, FIELD["lr"].get(cfg), record.metadata["config_hash"])
 
 
 def select_best(entries) -> int:
@@ -489,10 +486,13 @@ def grid_search(space: dict, base: ExperimentConfig,
     else:
         results = [run(cells) for cells in stacks]
     record = {id(c): r for cells, recs in zip(stacks, results) for c, r in zip(cells, recs)}
-    trained = [record[id(source[id(cfg)])] for cfg in configs]
-    entries = [(cfg, RunRecord(list(r.rows), {**r.metadata, "config_hash": config_hash(cfg),
-                                              **config_fields(cfg)}, r.diverged))
-               for cfg, r in zip(configs, trained)]
+    entries = []
+    for cfg in configs:  # a cell that took another cell's rows is named anew
+        r = record[id(source[id(cfg)])]
+        if source[id(cfg)] is not cfg:
+            r = RunRecord(list(r.rows), {**r.metadata, "config_hash": config_hash(cfg),
+                                         **config_fields(cfg)}, r.diverged)
+        entries.append((cfg, r))
     best = select_best(entries)
     return GridResult(entries[best][0], entries[best][1], entries)
 
@@ -507,21 +507,22 @@ SUMMARY_COLUMNS = (
 
 def write_summary_tsv(result: GridResult, path: str) -> None:
     """One row per cell; a diverged best (every cell diverged) is not marked."""
-    best_hash = None if result.best_record.diverged else config_hash(result.best_config)
+    best = None if result.best_record.diverged else result.best_record.metadata["config_hash"]
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\t".join(SUMMARY_COLUMNS) + "\n")
         for cfg, rec in result.entries:
             kind = cfg.optimizer.kind
             ttb = rec.time_to_best_s()
+            name = rec.metadata["config_hash"]
             row = [
-                config_hash(cfg),
+                name,
                 *(f.text(f.get(cfg)) if f.applies_to(kind) else "" for f in _SUMMARY_FIELDS),
                 repr(rec.final_train_loss),
                 repr(rec.final_test_loss),
                 repr(rec.final_test_acc),
                 repr(ttb) if ttb is not None else "",
                 str(rec.diverged).lower(),
-                "*" if config_hash(cfg) == best_hash else "",
+                "*" if name == best else "",
             ]
             fh.write("\t".join(row) + "\n")
 
@@ -536,15 +537,6 @@ class InvariantResult:
     name: str
     passed: bool
     detail: str
-
-
-@dataclass
-class InvariantReport:
-    results: list[InvariantResult]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(r.passed for r in self.results)
 
 
 def isometry_errors(rng: np.random.Generator, sequences) -> tuple[float, float]:
@@ -625,7 +617,7 @@ def truncation_gap(rng: np.random.Generator, dims, rank: int, steps: int,
     return worst
 
 
-def run_invariant_suite() -> InvariantReport:
+def run_invariant_suite() -> list[InvariantResult]:
     """Run acceptance criteria 1, 2, 4 and 5 and the truncated SVD's
     optimality at small scans and fixed seeds.
 
@@ -660,4 +652,4 @@ def run_invariant_suite() -> InvariantReport:
             continue
         results += [InvariantResult(name, value <= bound, f"{label} {value:.3e}")
                     for (name, bound, label), value in zip(checks, values)]
-    return InvariantReport(results)
+    return results

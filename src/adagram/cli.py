@@ -18,7 +18,6 @@ from .bench import (
     FIELDS,
     ConfigError,
     ExperimentConfig,
-    config_hash,
     grid_search,
     make_config,
     run_experiment,
@@ -128,7 +127,7 @@ def _run_single(cfg: ExperimentConfig, out: str | None) -> int:
     else:
         sys.stdout.write(record.to_csv())
     if record.diverged:
-        print(f"run {config_hash(cfg)} diverged after {len(record.rows)} epochs",
+        print(f"run {record.metadata['config_hash']} diverged after {len(record.rows)} epochs",
               file=sys.stderr)
         return EXIT_DIVERGED
     return EXIT_OK
@@ -141,8 +140,8 @@ def _run_grid(cfg: ExperimentConfig, grid_path: str, out: str | None,
         os.makedirs(out, exist_ok=True)
     result = grid_search(space, cfg, max_workers=workers)
     if out:
-        for entry_cfg, record in result.entries:
-            record.save(os.path.join(out, f"{config_hash(entry_cfg)}.csv"))
+        for _, record in result.entries:
+            record.save(os.path.join(out, f"{record.metadata['config_hash']}.csv"))
         write_summary_tsv(result, os.path.join(out, "summary.tsv"))
     if result.best_record.diverged:  # selection ranks diverged cells last
         print(f"grid: all {len(result.entries)} cells diverged", file=sys.stderr)
@@ -160,10 +159,10 @@ def _run_grid(cfg: ExperimentConfig, grid_path: str, out: str | None,
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.verify:
-        report = run_invariant_suite()
-        for r in report.results:
+        results = run_invariant_suite()
+        for r in results:
             print(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}")
-        return EXIT_OK if report.all_passed else EXIT_INVARIANT
+        return EXIT_OK if all(r.passed for r in results) else EXIT_INVARIANT
     try:
         if args.workers < 1:  # refused on a single run too, where it is unused
             raise ConfigError(f"workers must be >= 1, got {args.workers}")

@@ -97,19 +97,11 @@ class CorrelationSpec:
 class SyntheticSpec:
     corr: CorrelationSpec
     n_samples: int = 2000
-    theta_star: np.ndarray | None = None
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.n_samples < 1:
             raise DataError(f"n_samples must be >= 1, got {self.n_samples}")
-        if self.theta_star is not None:
-            self.theta_star = np.asarray(self.theta_star, dtype=float)
-            if self.theta_star.shape != (self.corr.n_features,):
-                raise DataError(
-                    f"theta_star has shape {self.theta_star.shape}, "
-                    f"expected ({self.corr.n_features},)"
-                )
 
 
 @dataclass
@@ -145,9 +137,9 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
 
     Costs O(n_samples * n_features): positive definiteness is checked and
     C applied in closed form (see CorrelationSpec), never as an n x n array.
-    Labels are Bernoulli(sigma(x . theta_star)).  When theta_star is not
-    given it is drawn first from the same seeded generator and scaled to
-    norm 3 (informative but not separable).
+    Labels are Bernoulli(sigma(x . theta_star)), with theta_star drawn
+    first from the same seeded generator and scaled to norm 3 (informative
+    but not separable).
     """
     min_eig, bound = spec.corr.min_eigenvalue()
     if min_eig <= 1e-8:
@@ -158,10 +150,8 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
             f"definite: {what} {min_eig:.3e}"
         )
     rng = np.random.default_rng(spec.seed)
-    theta = spec.theta_star
-    if theta is None:
-        theta = rng.standard_normal(spec.corr.n_features)
-        theta *= 3.0 / np.linalg.norm(theta)
+    theta = rng.standard_normal(spec.corr.n_features)
+    theta *= 3.0 / np.linalg.norm(theta)
     x = spec.corr.color(rng.standard_normal((spec.n_samples, spec.corr.n_features)))
     y = (rng.random(spec.n_samples) < sigmoid(x @ theta)).astype(int)
     return Dataset(x, y, n_classes=2, name=f"synthetic:{spec.corr.kind.value}")
@@ -249,11 +239,13 @@ def load_libsvm(path: str) -> Dataset:
         return parse_libsvm(fh, name=path)
 
 
-def _shuffled_rows(ds: Dataset, test_fraction: float, seed: int,
-                  bias: bool = False) -> tuple[np.ndarray, np.ndarray, int]:
-    """The rows of ``ds`` as the seeded shuffle orders them, test rows
-    first, copied a few rows at a time into one new array with a last column
-    of ones if ``bias``; their labels; and the test size."""
+def split_standardize(ds: Dataset, test_fraction: float, seed: int, bias: bool = False):
+    """The train x, train y, test x and test y of ``ds`` in the seeded
+    shuffle's order (test rows first in one new array, gathered a few rows
+    at a time, with a last column of ones if ``bias``), standardized by the
+    train rows' statistics, and the class count.  ``ds`` is dropped before
+    the statistics, so a caller that passes its last reference holds the
+    data at most twice."""
     perm = np.random.default_rng(seed).permutation(ds.n_samples)
     n_test = math.floor(ds.n_samples * test_fraction)
     if n_test < 1 or ds.n_samples - n_test < 1:
@@ -267,13 +259,10 @@ def _shuffled_rows(ds: Dataset, test_fraction: float, seed: int,
     block = max(1, _BLOCK_VALUES // n)
     for start in range(0, ds.n_samples, block):
         x[start:start + block, :n] = ds.x[perm[start:start + block]]
-    return x, ds.y[perm], n_test
-
-
-def _standardize(x: np.ndarray, n_test: int, n_features: int) -> None:
-    """Center and scale the first ``n_features`` columns of ``x`` in place by
-    the means and stds of its train rows, ``x[n_test:]``."""
-    train = x[n_test:, :n_features]
+    y, n_classes = ds.y[perm], ds.n_classes
+    del ds
+    train = x[n_test:, :n]
     means, stds = train.mean(axis=0), train.std(axis=0)
-    x[:, :n_features] -= means
-    x[:, :n_features] /= np.where(stds > _CONST_FEATURE_TOL, stds, 1.0)
+    x[:, :n] -= means
+    x[:, :n] /= np.where(stds > _CONST_FEATURE_TOL, stds, 1.0)
+    return x[n_test:], y[n_test:], x[:n_test], y[:n_test], n_classes

@@ -1,9 +1,11 @@
 """Tests for the experiment harness, grid search, invariant suite, and CLI."""
 
 import csv
+import importlib.util
 import io
 import math
 import os
+import pathlib
 import time
 import tracemalloc
 
@@ -34,12 +36,17 @@ from adagram.data import (
     DataError,
     Dataset,
     SyntheticSpec,
-    _shuffled_rows,
     generate_synthetic,
+    split_standardize,
 )
 from adagram.optim import OptimizerConfig, OptimizerKind
 from adagram.precond import PreconditionerBudgetError
 from helpers import save_libsvm
+
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_shims", pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "shims.py")
+shims = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(shims)
 
 
 def make_cfg(kind=OptimizerKind.SGD, lr=0.1, epochs=3, dataset="synthetic:isotropic",
@@ -143,6 +150,20 @@ class TestRunExperiment:
             assert a.train_loss == b.train_loss
             assert a.test_acc == b.test_acc
 
+    @pytest.mark.parametrize("text, message", [
+        ("# config_hash: abc\n1,0.5,0.7,0.7,0.5\n", "lacks its CSV header line"),
+        ("", "lacks its CSV header line"),
+        ("# diverged: false\nepoch;wall_clock_s\n", "lacks its CSV header line"),
+        (f"{','.join(CSV_COLUMNS)}\n1,0.5,0.7,0.7,0.5\n\n2,0.9,0.6\n",
+         r"^line 4: not enough values to unpack \(expected 5, got 3\)$"),
+        (f"# a: b\n{','.join(CSV_COLUMNS)}\n1,0.5,0.7,x,0.5\n", "^line 3: could not convert"),
+    ])
+    def test_unreadable_csv_is_config_error(self, text, message):
+        # A truncated or foreign trace names what is wrong, never a bare
+        # StopIteration or an unpacking error without its line.
+        with pytest.raises(ConfigError, match=message):
+            RunRecord.from_csv(text)
+
     def test_csv_text_is_what_csv_writer_writes(self):
         # Rows are joined with commas directly: byte for byte what
         # csv.writer gives, for every kind of float a trace holds.
@@ -236,7 +257,7 @@ class TestPreparedData:
         ds = resolve_dataset(cfg)
         for fraction in (0.0, 1.0, -0.5, 1.5):
             with pytest.raises(DataError, match="split leaves an empty side"):
-                _shuffled_rows(ds, fraction, seed=0)
+                split_standardize(ds, fraction, seed=0)
 
     def test_train_block_standardized(self):
         x_train, _, x_test, _, _, _ = bench_mod._prepare(
@@ -566,6 +587,43 @@ class TestGridSearch:
         again = select_best(result.entries)
         assert result.entries[again][0] == result.best_config
 
+    def test_traced_grid_call_splits_once(self, tmp_path, monkeypatch):
+        # The benchmark's recorder sees a grid call's one split as its own
+        # layer, not as time inside bench.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "grid.cfg").write_text("lr = 0.1, 1.0\nrank = 1, 5\nmu = 0.9, 1.0\n")
+        recorder = shims.SpanRecorder()
+        installed = shims.install(recorder)
+        try:
+            code = cli_main(["--dataset", "synthetic:dense", "--optimizer", "adagram_ps",
+                             "--epochs", "1", "--n-samples", "120", "--n-features", "5",
+                             "--grid", "grid.cfg", "--out", "out"])
+        finally:
+            installed.uninstall()
+        assert code == 0
+        stats = shims.layer_stats(recorder, 1)
+        assert stats["bench.grid_search.calls"] == stats["data.split_standardize.calls"] == 1
+
+    def test_each_cell_is_hashed_at_most_three_times(self, tmp_path, monkeypatch):
+        # The benchmark's uci_grid slice: 4 cells for a baseline, 16 for an
+        # adagram kind, with its traces and summary written.
+        calls = []
+        real_hash = bench_mod.config_hash
+        monkeypatch.setattr(bench_mod, "config_hash",
+                            lambda cfg: calls.append(cfg) or real_hash(cfg))
+        grid_file = tmp_path / "grid.cfg"
+        grid_file.write_text("lr = 0.1, 1.0\neps = 1e-8, 1e-2\nrank = 1, 5\nmu = 0.9, 1.0\n")
+        cells = 0
+        for kind, n in (("sgd", 4), ("adagram_ps", 16), ("adagram_fr", 16)):
+            out = tmp_path / kind
+            assert cli_main(["--dataset", "synthetic:dense", "--optimizer", kind,
+                             "--epochs", "1", "--n-samples", "120", "--n-features", "5",
+                             "--batch-size", "64", "--grid", str(grid_file),
+                             "--out", str(out)]) == 0
+            assert len(os.listdir(out)) == n + 1
+            cells += n
+        assert 0 < len(calls) <= 3 * cells
+
     def test_diverged_runs_never_selected(self):
         base = make_cfg(epochs=2)
         result = grid_search({"learning_rate": [1e308, 0.1]}, base)
@@ -653,10 +711,10 @@ class TestGridSearch:
 
 class TestInvariantSuite:
     def test_fresh_checkout_passes(self):
-        assert run_invariant_suite().all_passed
+        assert all(r.passed for r in run_invariant_suite())
 
     def test_checks_in_order(self):
-        names = [r.name for r in run_invariant_suite().results]
+        names = [r.name for r in run_invariant_suite()]
         assert names == ["isometry", "rescaled_direction", "splitting_exactness",
                          "gradient_check", "truncation_optimality"]
 
@@ -664,8 +722,7 @@ class TestInvariantSuite:
         # A NaN beta makes the next update raise; the checks of each scan
         # that raises fail with the exception, and the others still run.
         monkeypatch.setattr(precond_mod, "beta_of", lambda a, s: np.nan * s)
-        report = run_invariant_suite()
-        failed = {r.name: r.detail for r in report.results if not r.passed}
+        failed = {r.name: r.detail for r in run_invariant_suite() if not r.passed}
         assert {"isometry", "rescaled_direction", "splitting_exactness"} <= set(failed)
         assert failed["isometry"].startswith("ValueError: squared norm must be finite")
         assert "gradient_check" not in failed
@@ -674,16 +731,14 @@ class TestInvariantSuite:
         # Injecting beta <- 2*beta must break the isometry invariant.
         real_beta = precond_mod.beta_of
         monkeypatch.setattr(precond_mod, "beta_of", lambda a, s: 2.0 * real_beta(a, s))
-        report = run_invariant_suite()
-        failed = {r.name for r in report.results if not r.passed}
+        failed = {r.name for r in run_invariant_suite() if not r.passed}
         assert "isometry" in failed
 
     def test_nan_error_fails_its_check(self, monkeypatch):
         # A NaN gradient gives NaN errors, which must not read as 0.
         real_gradient = bench_mod.glm.gradient
         monkeypatch.setattr(bench_mod.glm, "gradient", lambda m, b: np.nan * real_gradient(m, b))
-        report = run_invariant_suite()
-        assert {r.name for r in report.results if not r.passed} == {"gradient_check"}
+        assert {r.name for r in run_invariant_suite() if not r.passed} == {"gradient_check"}
 
     def test_runtime_budget(self):
         import time

@@ -86,20 +86,6 @@ class TestGenerateSynthetic:
         assert ds.n_classes == 2
         assert set(np.unique(ds.y)) == {0, 1}
 
-    def test_explicit_theta_star(self):
-        theta = np.array([5.0, 0.0, 0.0])
-        spec = SyntheticSpec(CorrelationSpec(CorrelationKind.ISOTROPIC, 3),
-                             n_samples=2000, theta_star=theta, seed=4)
-        ds = generate_synthetic(spec)
-        # Labels must correlate with the first feature's sign.
-        agreement = np.mean((ds.x[:, 0] > 0) == (ds.y == 1))
-        assert agreement > 0.75
-
-    def test_theta_star_shape_checked(self):
-        with pytest.raises(DataError):
-            SyntheticSpec(CorrelationSpec(CorrelationKind.ISOTROPIC, 3),
-                          theta_star=np.ones(4))
-
 
 def eigvalsh_min(spec):
     return float(np.linalg.eigvalsh(correlation_matrix(spec)).min())
